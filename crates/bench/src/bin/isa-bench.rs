@@ -30,11 +30,6 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_kernel(s: &str) -> Option<Kernel> {
-    let key = s.trim().to_ascii_lowercase();
-    Kernel::ALL.into_iter().find(|k| k.name() == key)
-}
-
 /// One kernel's smoke + timing result.
 struct KernelReport {
     kernel: Kernel,
@@ -159,7 +154,7 @@ fn main() {
                     .split(',')
                     .filter(|s| !s.trim().is_empty())
                     .map(|s| {
-                        parse_kernel(s).unwrap_or_else(|| fail(&format!("unknown kernel {s:?}")))
+                        Kernel::parse(s).unwrap_or_else(|| fail(&format!("unknown kernel {s:?}")))
                     })
                     .collect();
             }

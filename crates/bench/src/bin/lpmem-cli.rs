@@ -86,12 +86,10 @@ fn opt_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Res
     }
 }
 
-fn kernel_by_name(name: &str) -> Result<Kernel, String> {
-    Kernel::ALL
-        .iter()
-        .copied()
-        .find(|k| k.name() == name)
-        .ok_or_else(|| format!("unknown kernel `{name}` (see `lpmem-cli kernels`)"))
+/// The positional kernel-name argument, parsed.
+fn kernel_arg(args: &[String]) -> Result<Kernel, String> {
+    let name = positional(args, "kernel name")?;
+    Kernel::parse(&name).ok_or_else(|| format!("unknown kernel `{name}` (see `lpmem-cli kernels`)"))
 }
 
 fn positional(args: &[String], what: &str) -> Result<String, String> {
@@ -121,7 +119,7 @@ fn cmd_kernels() -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let kernel = kernel_by_name(&positional(args, "kernel name")?)?;
+    let kernel = kernel_arg(args)?;
     let scale = opt_num(args, "--scale", kernel.default_scale())?;
     let seed = opt_num(args, "--seed", 1u64)?;
     let run = kernel.run(scale, seed).map_err(|e| e.to_string())?;
@@ -145,7 +143,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let kernel = kernel_by_name(&positional(args, "kernel name")?)?;
+    let kernel = kernel_arg(args)?;
     let scale = opt_num(args, "--scale", kernel.default_scale())?;
     let program = kernel.program(scale, 1);
     for (i, line) in disassemble(program.entry(), &program.text_words())
@@ -210,7 +208,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compress(args: &[String]) -> Result<(), String> {
-    let kernel = kernel_by_name(&positional(args, "kernel name")?)?;
+    let kernel = kernel_arg(args)?;
     let scale = opt_num(args, "--scale", kernel.default_scale() * 4)?;
     let platform = match opt(args, "--platform").as_deref() {
         None | Some("vliw") => PlatformKind::VliwLike,
@@ -244,7 +242,7 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_buscode(args: &[String]) -> Result<(), String> {
-    let kernel = kernel_by_name(&positional(args, "kernel name")?)?;
+    let kernel = kernel_arg(args)?;
     let regions = opt_num(args, "--regions", 4usize)?;
     let run = kernel
         .run(kernel.default_scale(), 1)

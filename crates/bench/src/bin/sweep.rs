@@ -37,11 +37,6 @@ fn parse_list<T>(arg: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Ve
         .collect()
 }
 
-fn parse_kernel(s: &str) -> Option<Kernel> {
-    let key = s.trim().to_ascii_lowercase();
-    Kernel::ALL.into_iter().find(|k| k.name() == key)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick_env = std::env::var_os("LPMEM_BENCH_QUICK").is_some();
@@ -74,7 +69,7 @@ fn main() {
             },
             "--flows" => grid.flows = parse_list(&value("--flows"), "flow", FlowSpec::parse),
             "--kernels" => {
-                let kernels = parse_list(&value("--kernels"), "kernel", parse_kernel);
+                let kernels = parse_list(&value("--kernels"), "kernel", Kernel::parse);
                 let scale = |k: Kernel| {
                     if quick {
                         (k.default_scale() / 4).max(4)
@@ -124,6 +119,9 @@ fn main() {
     }
     if grid.is_empty() {
         fail("the grid is empty (an axis filter removed every value)");
+    }
+    if let Err(why) = grid.validate() {
+        fail(&why);
     }
 
     let workers = threads.unwrap_or_else(worker_count);

@@ -16,7 +16,9 @@
 
 use std::time::Instant;
 
-use lpmem_core::flows::{CmpSpec, FaultSpec, FlowSpec, FlowSummary, TechNode, VariantSpec};
+use lpmem_core::flows::{
+    CmpSpec, FaultSpec, FlowSpec, FlowSummary, Scenario, TechNode, VariantSpec,
+};
 use lpmem_isa::Kernel;
 pub use lpmem_util::pool::parallel_map;
 use lpmem_util::pool::parallel_map_workers;
@@ -129,6 +131,24 @@ impl SweepGrid {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Checks every CMP spec against the L1 line size of every variant's
+    /// platform, so an invalid scenario is rejected before any task runs.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first spec that fails [`CmpSpec::validate`].
+    pub fn validate(&self) -> Result<(), String> {
+        for cmp in &self.cmps {
+            for v in &self.variants {
+                cmp.validate(v.platform.cache_config().line_bytes())
+                    .map_err(|why| {
+                        format!("invalid cmp spec {} ({}): {why}", cmp.label(), v.name)
+                    })?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One grid point, ready to run.
@@ -157,17 +177,12 @@ pub struct SweepTask {
 impl SweepTask {
     /// Runs the task's flow.
     fn run(&self) -> Result<FlowSummary, String> {
-        self.flow
-            .run_with_cmp(
-                self.kernel,
-                self.scale,
-                self.seed,
-                self.tech,
-                &self.variant,
-                &self.fault,
-                &self.cmp,
-            )
-            .map_err(|e| e.to_string())
+        let scenario = Scenario {
+            fault: self.fault,
+            cmp: &self.cmp,
+            ..Scenario::new(self.kernel, self.scale, self.seed, self.tech, &self.variant)
+        };
+        self.flow.run(&scenario).map_err(|e| e.to_string())
     }
 }
 
@@ -422,6 +437,19 @@ mod tests {
         assert!(lines[1].contains("\"cmp\":\"c4b8x32w4-zrun-t180+t90-p600\""));
         assert!(lines[1].contains("\"llc_lookups\""));
         assert!(lines[1].contains("\"dark_banks\""));
+    }
+
+    #[test]
+    fn grids_with_invalid_cmp_specs_are_rejected() {
+        let mut grid = SweepGrid::default_grid(true);
+        assert_eq!(grid.validate(), Ok(()));
+        grid.cmps = vec![CmpSpec::off(), CmpSpec::quad()];
+        assert_eq!(grid.validate(), Ok(()));
+        grid.cmps
+            .push(CmpSpec::parse("c4b0x32w4-zrun").expect("parses"));
+        let err = grid.validate().unwrap_err();
+        assert!(err.contains("c4b0x32w4-zrun"), "{err}");
+        assert!(err.contains("at least one bank"), "{err}");
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub struct CmpSpec {
 impl CmpSpec {
     /// The disabled configuration: no cores, no LLC — the differential
     /// baseline that must reproduce every pre-CMP report byte-for-byte.
-    pub fn off() -> CmpSpec {
+    pub const fn off() -> CmpSpec {
         CmpSpec {
             cores: 0,
             banks: 0,
@@ -362,6 +362,25 @@ mod tests {
         assert_eq!(CmpSpec::parse("b8x32w4"), None);
         assert_eq!(CmpSpec::parse("c0b8x32w4"), None);
         assert_eq!(CmpSpec::parse("c4b8x32w4-xyz"), None);
+        lpmem_util::Props::new("cmp spec labels roundtrip").run(|rng| {
+            let spec = CmpSpec {
+                cores: rng.gen_range(1..=64u32),
+                banks: rng.gen_range(0..=64u32),
+                bank_kib: rng.next_u32(),
+                ways: rng.gen_range(0..=16u32),
+                codec: *rng.choose(&LlcCodec::ALL).expect("non-empty"),
+                techs: (0..rng.bounded_u64(4))
+                    .map(|_| *rng.choose(&TechNode::ALL).expect("non-empty"))
+                    .collect(),
+                budget_uw: if rng.gen_bool(0.5) { 0 } else { rng.next_u64() },
+                quantum: rng.next_u32(),
+            };
+            assert_eq!(CmpSpec::parse(&spec.label()), Some(spec.clone()));
+            assert_eq!(
+                CmpSpec::parse(&format!(" {} ", spec.label().to_ascii_uppercase())),
+                Some(spec)
+            );
+        });
     }
 
     #[test]

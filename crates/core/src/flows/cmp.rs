@@ -12,8 +12,8 @@
 //! Degeneracy guarantees (the differential tests pin both):
 //!
 //! - a *disabled* spec never reaches this module
-//!   ([`FlowSpec::run_with_cmp`](crate::flows::FlowSpec::run_with_cmp)
-//!   takes the plain path), so zero-CMP reports stay byte-identical;
+//!   ([`FlowSpec::run`](crate::flows::FlowSpec::run) runs the
+//!   single-core flow), so zero-CMP reports stay byte-identical;
 //! - a *passthrough* spec (1 uncompressed bank, no tech axis, no
 //!   budget) is priced as the sum of independent single-core system
 //!   flows — for 1 core that is *exactly* the existing system flow.
@@ -22,13 +22,15 @@ use lpmem_buscode::RegionEncoder;
 use lpmem_cmp::{simulate_cmp, CmpReport, CmpSpec, CoreRun};
 use lpmem_compress::DiffCodec;
 use lpmem_energy::{BusModel, Energy};
-use lpmem_fault::{run_campaign, FaultSpec, ReliabilityReport};
+use lpmem_fault::{FaultSpec, ReliabilityReport};
 use lpmem_isa::Kernel;
-use lpmem_trace::AccessKind;
 use lpmem_util::SplitMix64;
 
-use crate::flows::spec::{data_memory_exposure, FlowSpec, FlowSummary, TechNode, VariantSpec};
-use crate::flows::system::run_system_with_tech;
+use crate::flows::buscoding::{codec_gate_energy, fetch_stream};
+use crate::flows::spec::{
+    data_memory_exposure, fault_campaign, FlowSpec, FlowSummary, TechNode, VariantSpec,
+};
+use crate::flows::system::run_system_trace;
 use crate::workloads::kernel_trace_and_image;
 use crate::FlowError;
 
@@ -82,10 +84,15 @@ pub fn cmp_core_runs(
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::EmptyInput`] when a core's trace has no
-/// instruction fetches, panics (via [`simulate_cmp`]) when the spec's
-/// LLC geometry is invalid for the platform's L1 line size, and
-/// propagates kernel errors.
+/// Returns [`FlowError::InvalidSpec`] when the spec's LLC geometry is
+/// invalid for the platform's L1 line size,
+/// [`FlowError::EmptyInput`] when a core's trace has no instruction
+/// fetches, and propagates kernel errors.
+///
+/// # Panics
+///
+/// Panics when `cmp` is disabled ([`FlowSpec::run`] routes those through
+/// the single-core flow).
 pub fn run_cmp(
     kernel: Kernel,
     scale: u32,
@@ -96,6 +103,9 @@ pub fn run_cmp(
     cmp: &CmpSpec,
 ) -> Result<FlowSummary, FlowError> {
     assert!(cmp.enabled(), "run_cmp needs an enabled CMP spec");
+    let l1 = variant.platform.cache_config();
+    cmp.validate(l1.line_bytes())
+        .map_err(|why| FlowError::InvalidSpec(format!("cmp spec {}: {why}", cmp.label())))?;
     let technology = tech.technology();
     let workload = format!("cmp{}:{}", cmp.cores, kernel.name());
 
@@ -110,10 +120,11 @@ pub fn run_cmp(
         for c in 0..cmp.cores {
             let k = core_kernel(kernel, c);
             let s = core_seed(seed, c);
-            let out = run_system_with_tech(
-                k,
-                scale,
-                s,
+            let (trace, image) = kernel_trace_and_image(k, scale, s)?;
+            let out = run_system_trace(
+                k.name(),
+                &trace,
+                image,
                 variant.platform,
                 &DiffCodec::new(),
                 variant.regions,
@@ -123,20 +134,12 @@ pub fn run_cmp(
             optimized += out.optimized.total();
             fetches += out.fetches;
             if fault.enabled() {
-                let run = k.run(scale, s)?;
-                let mut exposure = data_memory_exposure(&run.trace, variant, &technology)?;
+                let mut exposure = data_memory_exposure(&trace, variant, &technology)?;
                 exposure.domain = u64::from(c);
-                let report = run_campaign(fault, &technology, &exposure, s);
-                optimized += fault
-                    .protection
-                    .access_overhead(&technology, exposure.accesses());
-                reliability = Some(match reliability {
-                    Some(mut acc) => {
-                        acc.merge(&report);
-                        acc
-                    }
-                    None => report,
-                });
+                let report = fault_campaign(fault, &technology, &exposure, s, &mut optimized);
+                reliability
+                    .get_or_insert_with(ReliabilityReport::default)
+                    .merge(&report);
             }
         }
         return Ok(FlowSummary {
@@ -149,14 +152,7 @@ pub fn run_cmp(
             cmp: Some(CmpReport {
                 spec: cmp.label(),
                 cores: cmp.cores,
-                llc_banks: 0,
-                dark_banks: 0,
-                llc_lookups: 0,
-                llc_hits: 0,
-                llc_lines: 0,
-                llc_compressed_lines: 0,
-                offchip_beats: 0,
-                cycles: 0,
+                ..CmpReport::default()
             }),
         });
     }
@@ -169,15 +165,7 @@ pub fn run_cmp(
     let mut encoded_transitions = 0u64;
     let mut fetches = 0u64;
     for run in &runs {
-        let stream: Vec<(u64, u32)> = run
-            .trace
-            .iter()
-            .filter(|e| e.kind == AccessKind::InstrFetch)
-            .map(|e| (e.addr, e.value))
-            .collect();
-        if stream.is_empty() {
-            return Err(FlowError::EmptyInput("trace has no instruction fetches"));
-        }
+        let stream = fetch_stream(&run.trace)?;
         let encoder = RegionEncoder::train(&stream, variant.regions);
         let enc = encoder.evaluate(&stream);
         raw_transitions += enc.raw_transitions;
@@ -186,23 +174,15 @@ pub fn run_cmp(
     }
 
     // Data side: the shared-LLC simulation.
-    let sim = simulate_cmp(
-        cmp,
-        variant.platform.cache_config(),
-        &technology,
-        runs,
-        fault,
-        seed,
-    );
+    let sim = simulate_cmp(cmp, l1, &technology, runs, fault, seed);
 
     let mut baseline = sim.baseline.total();
     baseline += bus.energy_of(raw_transitions);
     let mut optimized = sim.optimized.total();
     optimized += bus.energy_of(encoded_transitions);
-    // Same encoder/decoder gate-layer charge as the system flow (see
-    // `run_system_with_tech`), summed over the cores' private buses.
-    let gate_pj = 0.004 * bus.transition_energy().as_pj();
-    optimized += Energy::from_pj(gate_pj * (raw_transitions + encoded_transitions) as f64);
+    // The system flow's encoder/decoder gate charge, summed over the
+    // cores' private buses.
+    optimized += codec_gate_energy(&bus, raw_transitions, encoded_transitions);
 
     Ok(FlowSummary {
         flow: FlowSpec::System,
@@ -218,6 +198,7 @@ pub fn run_cmp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flows::spec::Scenario;
     use lpmem_fault::Protection;
 
     fn passthrough_1core() -> CmpSpec {
@@ -230,27 +211,72 @@ mod tests {
         }
     }
 
+    /// `(flow, events, baseline_pj, optimized_pj, [injected, masked,
+    /// detected, corrected, silent])` of `tests/golden.rs` at fir/48,
+    /// seed 2003, 90 nm, default variant, accelerated SECDED.
+    const SECDED_T90: [(FlowSpec, u64, f64, f64, [u64; 5]); 5] = [
+        (
+            FlowSpec::Partitioning,
+            1584,
+            51097.816325209176,
+            17760.05034559285,
+            [29, 29, 0, 0, 0],
+        ),
+        (
+            FlowSpec::Compression,
+            3,
+            204914.56,
+            185630.31999999998,
+            [29, 29, 0, 0, 0],
+        ),
+        (
+            FlowSpec::BusCoding,
+            8794,
+            21252.25,
+            10032.46,
+            [29, 29, 0, 0, 0],
+        ),
+        (FlowSpec::Scheduling, 128, 428502412.8, 333528664.68, [0; 5]),
+        (
+            FlowSpec::System,
+            8794,
+            226166.81,
+            195286.963,
+            [29, 29, 0, 0, 0],
+        ),
+    ];
+
+    fn fir<'a>(
+        tech: TechNode,
+        variant: &'a VariantSpec,
+        fault: FaultSpec,
+        cmp: &'a CmpSpec,
+    ) -> Scenario<'a> {
+        Scenario {
+            fault,
+            cmp,
+            ..Scenario::new(Kernel::Fir, 48, 2003, tech, variant)
+        }
+    }
+
     #[test]
-    fn disabled_cmp_is_byte_identical_to_the_fault_path() {
+    fn disabled_cmp_reproduces_the_golden_fault_values() {
         let variant = VariantSpec::default();
-        let fault = FaultSpec::accelerated(Protection::Parity);
-        for flow in FlowSpec::ALL {
-            let plain = flow
-                .run_with_faults(Kernel::Fir, 48, 2003, TechNode::T180, &variant, &fault)
+        let fault = FaultSpec::accelerated(Protection::Secded);
+        for (flow, events, baseline_pj, optimized_pj, counts) in SECDED_T90 {
+            let out = flow
+                .run(&fir(TechNode::T90, &variant, fault, &CmpSpec::off()))
                 .unwrap();
-            let off = flow
-                .run_with_cmp(
-                    Kernel::Fir,
-                    48,
-                    2003,
-                    TechNode::T180,
-                    &variant,
-                    &fault,
-                    &CmpSpec::off(),
-                )
-                .unwrap();
-            assert_eq!(plain, off, "{flow}");
-            assert!(off.cmp.is_none());
+            assert!(out.cmp.is_none(), "{flow}");
+            assert_eq!(out.events, events, "{flow}");
+            assert_eq!(out.baseline.as_pj(), baseline_pj, "{flow}");
+            assert_eq!(out.optimized.as_pj(), optimized_pj, "{flow}");
+            let r = out.reliability.expect("campaign ran");
+            assert_eq!(
+                [r.injected, r.masked, r.detected, r.corrected, r.silent],
+                counts,
+                "{flow}"
+            );
         }
     }
 
@@ -262,18 +288,10 @@ mod tests {
         let spec = passthrough_1core();
         for fault in [FaultSpec::off(), FaultSpec::accelerated(Protection::Secded)] {
             let solo = FlowSpec::System
-                .run_with_faults(Kernel::Fir, 48, 2003, TechNode::T90, &variant, &fault)
+                .run(&fir(TechNode::T90, &variant, fault, &CmpSpec::off()))
                 .unwrap();
             let cmp = FlowSpec::System
-                .run_with_cmp(
-                    Kernel::Fir,
-                    48,
-                    2003,
-                    TechNode::T90,
-                    &variant,
-                    &fault,
-                    &spec,
-                )
+                .run(&fir(TechNode::T90, &variant, fault, &spec))
                 .unwrap();
             assert_eq!(solo.baseline, cmp.baseline);
             assert_eq!(solo.optimized, cmp.optimized);
@@ -288,21 +306,53 @@ mod tests {
     fn cmp_applies_only_to_the_system_flow() {
         let variant = VariantSpec::default();
         let quad = CmpSpec::quad();
-        let plain = FlowSpec::Partitioning
-            .run(Kernel::Fir, 48, 2003, TechNode::T180, &variant)
-            .unwrap();
-        let under_cmp = FlowSpec::Partitioning
-            .run_with_cmp(
-                Kernel::Fir,
-                48,
-                2003,
-                TechNode::T180,
-                &variant,
-                &FaultSpec::off(),
-                &quad,
-            )
-            .unwrap();
-        assert_eq!(plain, under_cmp);
+        for flow in FlowSpec::ALL {
+            if flow == FlowSpec::System {
+                continue;
+            }
+            let plain = flow
+                .run(&Scenario::new(
+                    Kernel::Fir,
+                    48,
+                    2003,
+                    TechNode::T180,
+                    &variant,
+                ))
+                .unwrap();
+            let under_cmp = flow
+                .run(&fir(TechNode::T180, &variant, FaultSpec::off(), &quad))
+                .unwrap();
+            assert_eq!(plain, under_cmp, "{flow}");
+        }
+    }
+
+    #[test]
+    fn invalid_specs_are_errors_not_panics() {
+        // Parses, but a compressed LLC with zero banks cannot be built.
+        let spec = CmpSpec::parse("c4b0x32w4-zrun").expect("parses");
+        let variant = VariantSpec::default();
+        let err = FlowSpec::System
+            .run(&fir(TechNode::T180, &variant, FaultSpec::off(), &spec))
+            .unwrap_err();
+        assert!(
+            matches!(&err, FlowError::InvalidSpec(why) if why.contains("at least one bank")),
+            "{err}"
+        );
+        // A bank smaller than one set of the platform's 64-byte lines.
+        let tiny = CmpSpec {
+            bank_kib: 0,
+            ..CmpSpec::quad()
+        };
+        let err = run_cmp(
+            Kernel::Fir,
+            48,
+            2003,
+            TechNode::T180,
+            &variant,
+            &FaultSpec::off(),
+            &tiny,
+        );
+        assert!(matches!(err, Err(FlowError::InvalidSpec(_))));
     }
 
     #[test]

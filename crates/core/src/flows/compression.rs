@@ -2,10 +2,11 @@
 
 use lpmem_compress::{CompressedMemoryModel, LineCodec};
 use lpmem_energy::{Energy, EnergyReport, OffChipModel, SramModel, Technology};
-use lpmem_isa::{Backend, Kernel, Machine};
+use lpmem_isa::Kernel;
 use lpmem_mem::{Backing, Cache, CacheConfig, FlatMemory};
 use lpmem_trace::{AccessKind, Trace};
 
+use crate::workloads::kernel_trace_and_image;
 use crate::FlowError;
 
 /// Platform presets for the compression study, mirroring the two systems of
@@ -313,22 +314,14 @@ pub fn run_compression_kernel(
     platform: PlatformKind,
     codec: &dyn LineCodec,
 ) -> Result<CompressionOutcome, FlowError> {
-    let program = kernel.program(scale, seed);
-    let mut machine = Machine::new(&program);
-    let result = machine.run_with(Backend::Compiled, 50_000_000)?;
-    // Replay against the program's initial memory image so loads observe
-    // the same data the kernel did.
-    let mut initial = FlatMemory::new();
-    for (base, bytes) in program.segments() {
-        initial.load(*base as u64, bytes);
-    }
+    let (trace, image) = kernel_trace_and_image(kernel, scale, seed)?;
     let cfg = CompressionConfig::for_platform(platform);
     let tech = platform.technology();
     run_compression_trace(
         kernel.name(),
         platform.name(),
-        &result.trace,
-        initial,
+        &trace,
+        image,
         codec,
         &cfg,
         &tech,

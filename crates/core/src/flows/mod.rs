@@ -10,7 +10,7 @@ pub mod spec;
 pub mod system;
 
 pub use cmp::{cmp_core_runs, run_cmp};
-pub use spec::{data_memory_exposure, FlowSpec, FlowSummary, TechNode, VariantSpec};
+pub use spec::{data_memory_exposure, FlowSpec, FlowSummary, Scenario, TechNode, VariantSpec};
 
 // Reliability surface, re-exported so harness crates reach the fault
 // axis through the same uniform flow module as everything else.

@@ -11,10 +11,12 @@
 
 use lpmem_buscode::RegionEncoder;
 use lpmem_compress::LineCodec;
-use lpmem_energy::{BusModel, Energy, EnergyReport};
+use lpmem_energy::{BusModel, EnergyReport, Technology};
 use lpmem_isa::Kernel;
-use lpmem_trace::AccessKind;
+use lpmem_mem::FlatMemory;
+use lpmem_trace::Trace;
 
+use crate::flows::buscoding::{codec_gate_energy, fetch_stream};
 use crate::flows::compression::{run_compression_trace, CompressionConfig, PlatformKind};
 use crate::workloads::kernel_trace_and_image;
 use crate::FlowError;
@@ -67,10 +69,11 @@ pub fn run_system(
     codec: &dyn LineCodec,
     regions: usize,
 ) -> Result<SystemOutcome, FlowError> {
-    run_system_with_tech(
-        kernel,
-        scale,
-        seed,
+    let (trace, image) = kernel_trace_and_image(kernel, scale, seed)?;
+    run_system_trace(
+        kernel.name(),
+        &trace,
+        image,
         platform,
         codec,
         regions,
@@ -78,67 +81,47 @@ pub fn run_system(
     )
 }
 
-/// [`run_system`] with an explicit technology node — the entry point the
-/// sweep engine uses so its technology axis applies to every flow.
+/// Evaluates the platform on a captured trace (plus the initial memory
+/// image it ran against) at an explicit technology node: the trace-level
+/// system flow behind [`run_system`], the scenario entry point, and the
+/// CMP passthrough.
 ///
 /// # Errors
 ///
-/// Propagates kernel and flow errors.
-pub fn run_system_with_tech(
-    kernel: Kernel,
-    scale: u32,
-    seed: u64,
+/// Returns [`FlowError::EmptyInput`] when the trace has no instruction
+/// fetches or no data accesses, and propagates cache errors.
+pub fn run_system_trace(
+    name: &str,
+    trace: &Trace,
+    image: FlatMemory,
     platform: PlatformKind,
     codec: &dyn LineCodec,
     regions: usize,
-    tech: &lpmem_energy::Technology,
+    tech: &Technology,
 ) -> Result<SystemOutcome, FlowError> {
-    let (trace, image) = kernel_trace_and_image(kernel, scale, seed)?;
-    let tech = tech.clone();
-
     // Data side: the compression flow produces both baseline and optimized
     // D-cache + off-chip numbers.
     let cfg = CompressionConfig::for_platform(platform);
-    let compression = run_compression_trace(
-        kernel.name(),
-        platform.name(),
-        &trace,
-        image,
-        codec,
-        &cfg,
-        &tech,
-    )?;
+    let compression =
+        run_compression_trace(name, platform.name(), trace, image, codec, &cfg, tech)?;
 
     // Instruction side: transitions of the raw and encoded fetch streams.
-    let stream: Vec<(u64, u32)> = trace
-        .iter()
-        .filter(|e| e.kind == AccessKind::InstrFetch)
-        .map(|e| (e.addr, e.value))
-        .collect();
-    if stream.is_empty() {
-        return Err(FlowError::EmptyInput("trace has no instruction fetches"));
-    }
+    let stream = fetch_stream(trace)?;
     let encoder = RegionEncoder::train(&stream, regions);
     let enc = encoder.evaluate(&stream);
-    let bus = BusModel::onchip(&tech, 32);
+    let bus = BusModel::onchip(tech, 32);
 
     let mut baseline = compression.baseline.clone();
     baseline.add("ibus", bus.energy_of(enc.raw_transitions));
     let mut optimized = compression.compressed.clone();
     optimized.add("ibus", bus.energy_of(enc.encoded_transitions));
-    // One extra XOR layer on each end of the fetch path. A gate's output
-    // only switches when a line it drives toggles, so the layer's energy is
-    // proportional to the line transitions on its input (encoder) and
-    // output (decoder) sides — at ~2 fF of gate load vs. ~0.5 pF of wire,
-    // a factor of ~0.004 of the line energy per side.
-    let gate_pj = 0.004 * bus.transition_energy().as_pj();
     optimized.add(
         "ibus.codec",
-        Energy::from_pj(gate_pj * (enc.raw_transitions + enc.encoded_transitions) as f64),
+        codec_gate_energy(&bus, enc.raw_transitions, enc.encoded_transitions),
     );
 
     Ok(SystemOutcome {
-        name: kernel.name().to_owned(),
+        name: name.to_owned(),
         platform: platform.name().to_owned(),
         baseline,
         optimized,
@@ -151,6 +134,7 @@ pub fn run_system_with_tech(
 mod tests {
     use super::*;
     use lpmem_compress::DiffCodec;
+    use lpmem_energy::Energy;
 
     #[test]
     fn combined_optimizations_beat_baseline() {

@@ -11,7 +11,10 @@
 //!
 //! Each flow returns an *outcome* struct carrying the baseline and the
 //! optimized energy (or transition) numbers plus the derived savings — the
-//! rows the experiment harness prints.
+//! rows the experiment harness prints. Harnesses that sweep scenarios run
+//! every flow through one entry point instead:
+//! [`flows::FlowSpec::run`] on a [`flows::Scenario`] (kernel, scale, seed,
+//! technology, variant, fault and CMP axes).
 //!
 //! # Example: the 1B.1 headline experiment on one kernel
 //!
@@ -51,6 +54,8 @@ pub enum FlowError {
     Sched(lpmem_sched::SchedError),
     /// The flow's input was unusable (e.g. a trace with no data accesses).
     EmptyInput(&'static str),
+    /// A scenario specification is invalid for the platform it runs on.
+    InvalidSpec(String),
 }
 
 impl std::fmt::Display for FlowError {
@@ -61,6 +66,7 @@ impl std::fmt::Display for FlowError {
             FlowError::Isa(e) => write!(f, "isa error: {e}"),
             FlowError::Sched(e) => write!(f, "scheduling error: {e}"),
             FlowError::EmptyInput(what) => write!(f, "empty input: {what}"),
+            FlowError::InvalidSpec(why) => write!(f, "invalid spec: {why}"),
         }
     }
 }
@@ -72,7 +78,7 @@ impl std::error::Error for FlowError {
             FlowError::Mem(e) => Some(e),
             FlowError::Isa(e) => Some(e),
             FlowError::Sched(e) => Some(e),
-            FlowError::EmptyInput(_) => None,
+            FlowError::EmptyInput(_) | FlowError::InvalidSpec(_) => None,
         }
     }
 }

@@ -23,8 +23,9 @@ pub fn kernel_suite(seed: u64) -> Result<Vec<KernelRun>, FlowError> {
         .collect()
 }
 
-/// Runs a kernel and returns its trace together with the program's initial
-/// memory image (the state a replay cache must start from).
+/// Runs and verifies a kernel once, returning its trace together with the
+/// program's initial memory image (the state a replay cache must start
+/// from).
 ///
 /// # Errors
 ///
@@ -34,13 +35,10 @@ pub fn kernel_trace_and_image(
     scale: u32,
     seed: u64,
 ) -> Result<(Trace, FlatMemory), FlowError> {
-    let program = kernel.program(scale, seed);
-    let mut machine = Machine::new(&program);
+    let mut machine = Machine::new(&kernel.program(scale, seed));
+    let image = machine.mem().clone();
     let result = machine.run_with(Backend::Compiled, 200_000_000)?;
-    let mut image = FlatMemory::new();
-    for (base, bytes) in program.segments() {
-        image.load(*base as u64, bytes);
-    }
+    kernel.verify(scale, seed, &machine);
     Ok((result.trace, image))
 }
 

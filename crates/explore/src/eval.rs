@@ -32,6 +32,7 @@ use lpmem_buscode::addrbus::gray_encode;
 use lpmem_buscode::{transitions, BusInvert, RegionEncoder};
 use lpmem_cmp::{simulate_cmp, CmpReport, CmpSpec, LlcCodec};
 use lpmem_compress::{DiffCodec, FpcCodec, LineCodec, RawCodec, ZeroRunCodec};
+use lpmem_core::flows::buscoding::{codec_gate_energy, fetch_stream};
 use lpmem_core::flows::cmp::cmp_core_runs;
 use lpmem_core::flows::compression::{run_compression_trace, CompressionConfig};
 use lpmem_core::flows::partitioning::{run_partitioning, PartitioningConfig};
@@ -44,7 +45,7 @@ use lpmem_energy::{AreaReport, BusModel, SramModel, Technology};
 use lpmem_isa::Kernel;
 use lpmem_mem::FlatMemory;
 use lpmem_sched::{AppSpec, SchedPlatform};
-use lpmem_trace::{AccessKind, Trace};
+use lpmem_trace::Trace;
 
 use crate::point::{BusChoice, CacheGeom, CodecChoice, DesignPoint};
 
@@ -223,14 +224,7 @@ impl Evaluator {
     pub fn with_faults(workload: Workload, fault: FaultSpec) -> Result<Evaluator, FlowError> {
         let (trace, image) =
             kernel_trace_and_image(workload.kernel, workload.scale, workload.seed)?;
-        let fetch_stream: Vec<(u64, u32)> = trace
-            .iter()
-            .filter(|e| e.kind == AccessKind::InstrFetch)
-            .map(|e| (e.addr, e.value))
-            .collect();
-        if fetch_stream.is_empty() {
-            return Err(FlowError::EmptyInput("trace has no instruction fetches"));
-        }
+        let fetch_stream = fetch_stream(&trace)?;
         let data_accesses = trace.iter().filter(|e| e.kind.is_data()).count() as u64;
         if data_accesses == 0 {
             return Err(FlowError::EmptyInput("trace has no data accesses"));
@@ -492,9 +486,8 @@ impl Evaluator {
         let mut pj = model.energy_of(encoded).as_pj();
         if bus != BusChoice::Raw {
             // Encoder + decoder gate switching, as priced by the system
-            // flow: ~0.004 of a line transition per side.
-            let gate_pj = 0.004 * model.transition_energy().as_pj();
-            pj += gate_pj * (raw + encoded) as f64;
+            // flow.
+            pj += codec_gate_energy(&model, raw, encoded).as_pj();
         }
         shard.bus.insert(key, pj);
         pj
@@ -573,15 +566,7 @@ impl Evaluator {
             self.workload.seed,
             spec.cores,
         )?;
-        let fetches: u64 = runs
-            .iter()
-            .map(|r| {
-                r.trace
-                    .iter()
-                    .filter(|e| e.kind == AccessKind::InstrFetch)
-                    .count() as u64
-            })
-            .sum();
+        let fetches: u64 = runs.iter().map(|r| r.trace.kind_counts().0 as u64).sum();
         let out = simulate_cmp(
             spec,
             cache.config()?,

@@ -419,5 +419,16 @@ mod tests {
         );
         assert!(FaultSpec::parse("tmr").is_none());
         assert!(FaultSpec::parse("secded:x").is_none());
+        lpmem_util::Props::new("fault spec labels roundtrip").run(|rng| {
+            let spec = FaultSpec {
+                rate_scale: if rng.gen_bool(0.3) { 0 } else { rng.next_u64() },
+                protection: *rng.choose(&Protection::ALL).expect("non-empty"),
+            };
+            assert_eq!(FaultSpec::parse(&spec.label()), Some(spec));
+            assert_eq!(
+                FaultSpec::parse(&format!(" {} ", spec.label().to_ascii_uppercase())),
+                Some(spec)
+            );
+        });
     }
 }

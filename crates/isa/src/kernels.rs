@@ -86,6 +86,13 @@ impl Kernel {
         }
     }
 
+    /// Parses a kernel name (case-insensitive), the inverse of
+    /// [`Kernel::name`].
+    pub fn parse(s: &str) -> Option<Kernel> {
+        let key = s.trim().to_ascii_lowercase();
+        Kernel::ALL.into_iter().find(|k| k.name() == key)
+    }
+
     /// The scale used by the experiment harness.
     pub fn default_scale(self) -> u32 {
         match self {
@@ -166,7 +173,14 @@ impl Kernel {
         }
     }
 
-    fn verify(self, scale: u32, seed: u64, machine: &Machine) {
+    /// Checks a machine that ran [`Kernel::program`] at `scale` and `seed`
+    /// against the Rust reference implementation — the check every
+    /// [`Kernel::run`] makes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine's output disagrees with the reference.
+    pub fn verify(self, scale: u32, seed: u64, machine: &Machine) {
         let mut rng = Rng::seed_from_u64(seed ^ (self as u64) << 32);
         let mem = machine.mem();
         match self {
@@ -960,6 +974,14 @@ mod tests {
     fn all_kernels_have_distinct_names() {
         let names: std::collections::HashSet<_> = Kernel::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), Kernel::ALL.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "fir")]
+    fn verify_rejects_a_machine_that_ran_other_inputs() {
+        let mut machine = Machine::new(&Kernel::Fir.program(16, 7));
+        machine.run(MAX_STEPS).unwrap();
+        Kernel::Fir.verify(16, 8, &machine);
     }
 
     #[test]

@@ -75,9 +75,10 @@ pub mod prelude {
         run_partitioning, PartitioningConfig, PartitioningOutcome,
     };
     pub use lpmem_core::flows::scheduling::{dsp_pipeline_app, run_scheduling, SchedulingOutcome};
-    pub use lpmem_core::flows::system::{run_system, run_system_with_tech, SystemOutcome};
+    pub use lpmem_core::flows::system::{run_system, run_system_trace, SystemOutcome};
     pub use lpmem_core::flows::{
-        CmpReport, CmpSpec, FlowSpec, FlowSummary, LlcCodec, TechNode, VariantSpec,
+        CmpReport, CmpSpec, FaultSpec, FlowSpec, FlowSummary, LlcCodec, Protection,
+        ReliabilityReport, Scenario, TechNode, VariantSpec,
     };
     pub use lpmem_core::{workloads, DeviceArchetype, FlowError, WorkloadMix};
     pub use lpmem_energy::{

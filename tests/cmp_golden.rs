@@ -4,7 +4,7 @@
 //! The crate-level tests in `lpmem-cmp` and `lpmem-core` check *shapes*
 //! (compression helps, dark banks appear under tight budgets, the 1-core
 //! passthrough degenerates); this suite pins *values* across the public
-//! harness — `FlowSpec::run_with_cmp` and the `--cmp` sweep axis — so any
+//! harness — `FlowSpec::run` on a CMP `Scenario` and the `--cmp` sweep axis — so any
 //! drift in the interleaver, the NUCA mapping, the LLC codecs, or the
 //! dark-silicon gating is a conscious, recorded decision.
 //!
@@ -12,7 +12,6 @@
 //! `LPMEM_GOLDEN_PRINT=1` (e.g. `LPMEM_GOLDEN_PRINT=1 cargo test --test
 //! cmp_golden -- --nocapture`) and paste the printed rows over `GOLDEN`.
 
-use lpmem::core::flows::FaultSpec;
 use lpmem::prelude::*;
 use lpmem_bench::sweep::{run_sweep, SweepGrid};
 
@@ -120,8 +119,13 @@ fn run_point(g: &Golden) -> FlowSummary {
     let variant = VariantSpec::parse(g.variant).expect("known variant");
     let fault = FaultSpec::parse(g.fault).expect("known fault spec");
     let cmp = CmpSpec::parse(g.cmp).expect("known cmp spec");
+    let scenario = Scenario {
+        fault,
+        cmp: &cmp,
+        ..Scenario::new(g.kernel, g.scale, g.seed, g.tech, &variant)
+    };
     FlowSpec::System
-        .run_with_cmp(g.kernel, g.scale, g.seed, g.tech, &variant, &fault, &cmp)
+        .run(&scenario)
         .unwrap_or_else(|e| panic!("{} failed: {e}", g.cmp))
 }
 
@@ -195,21 +199,16 @@ fn one_core_passthrough_matches_the_single_core_system_flow() {
     let variant = VariantSpec::default();
     let passthrough = CmpSpec::parse("c1b1x32w4").expect("passthrough spec");
     for fault in ["off", "secded"] {
-        let fault = FaultSpec::parse(fault).expect("known fault spec");
-        let solo = FlowSpec::System
-            .run_with_faults(Kernel::Fir, 48, SEED, TechNode::T90, &variant, &fault)
-            .expect("solo system flow");
-        let cmp = FlowSpec::System
-            .run_with_cmp(
-                Kernel::Fir,
-                48,
-                SEED,
-                TechNode::T90,
-                &variant,
-                &fault,
-                &passthrough,
-            )
-            .expect("1-core CMP flow");
+        let solo = Scenario {
+            fault: FaultSpec::parse(fault).expect("known fault spec"),
+            ..Scenario::new(Kernel::Fir, 48, SEED, TechNode::T90, &variant)
+        };
+        let chip = Scenario {
+            cmp: &passthrough,
+            ..solo.clone()
+        };
+        let solo = FlowSpec::System.run(&solo).expect("solo system flow");
+        let cmp = FlowSpec::System.run(&chip).expect("1-core CMP flow");
         assert_eq!(solo.baseline, cmp.baseline);
         assert_eq!(solo.optimized, cmp.optimized);
         assert_eq!(solo.events, cmp.events);
@@ -231,7 +230,7 @@ fn cmp_grid() -> SweepGrid {
         FaultSpec::parse("secded").expect("known fault spec"),
     ];
     grid.cmps = vec![
-        lpmem::core::flows::CmpSpec::off(),
+        CmpSpec::off(),
         CmpSpec::quad(),
         CmpSpec::parse("c2b4x16w2-fpc-t130-p300").expect("known cmp spec"),
     ];
