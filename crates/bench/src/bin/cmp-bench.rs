@@ -14,10 +14,12 @@
 //! given core and bank count, reports the scenario's deterministic
 //! outcome counters, and times the full flow. The counters are a pure
 //! function of the spec — only the timings vary run to run.
-//! `LPMEM_BENCH_QUICK=1` implies `--quick`.
+//! `LPMEM_BENCH_QUICK=1` implies `--quick` (`-q`). `--json -` writes to
+//! stdout; usage errors and a failing cell exit 2.
 
-use std::io::Write as _;
+use std::process::ExitCode;
 
+use lpmem_bench::cli::{self, Args};
 use lpmem_core::flows::cmp::run_cmp;
 use lpmem_core::flows::{CmpSpec, FaultSpec, FlowSummary, LlcCodec, TechNode, VariantSpec};
 use lpmem_isa::Kernel;
@@ -30,11 +32,6 @@ const CORES: [u32; 4] = [1, 2, 4, 8];
 const BANKS: [u32; 3] = [2, 4, 8];
 /// Workload scale every cell runs at (the harness default for Fir).
 const SCALE: u32 = 48;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("cmp-bench: {msg}");
-    std::process::exit(2);
-}
 
 /// The headline LLC recipe at a given chip geometry.
 fn spec_at(cores: u32, banks: u32) -> CmpSpec {
@@ -82,27 +79,21 @@ impl Cell {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
+    cli::main("cmp-bench", run)
+}
+
+fn run(mut args: Args) -> Result<(), String> {
     let mut quick = std::env::var_os("LPMEM_BENCH_QUICK").is_some();
     let mut json_path = "BENCH_cmp.json".to_owned();
     let mut seed = 2003u64;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
-            "--json" => json_path = value("--json"),
-            "--seed" => match value("--seed").parse() {
-                Ok(s) => seed = s,
-                Err(_) => fail("--seed needs an unsigned integer"),
-            },
-            _ => fail(&format!("unknown argument {arg:?} (see the module docs)")),
+            "--json" => json_path = args.value(&arg)?,
+            "--seed" => seed = args.num(&arg)?,
+            _ => return Err(cli::unknown(&arg)),
         }
     }
 
@@ -139,9 +130,8 @@ fn main() {
                     &fault,
                     &spec,
                 )
-                .unwrap_or_else(|e| fail(&format!("{}: {e}", spec.label())))
             };
-            let summary = run();
+            let summary = run().map_err(|e| format!("{}: {e}", spec.label()))?;
             let timing = benchmark(&spec.label(), &opts, run);
             let report = summary.cmp.as_ref().expect("CMP runs carry a report");
             let save = 100.0 * (1.0 - summary.optimized.as_pj() / summary.baseline.as_pj());
@@ -172,9 +162,5 @@ fn main() {
         .u64("cells", cells.len() as u64)
         .finish();
     let rows: Vec<String> = cells.iter().map(Cell::to_json).collect();
-    let json = format!("{{\"summary\":{summary},\"cells\":[{}]}}\n", rows.join(","));
-    match std::fs::File::create(&json_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("cmp-bench: wrote {json_path}"),
-        Err(e) => fail(&format!("cannot write {json_path}: {e}")),
-    }
+    cli::write_bench(&json_path, &summary, "cells", &rows)
 }

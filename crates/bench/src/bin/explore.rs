@@ -18,26 +18,24 @@
 //! frontier point is ever dominated by a configuration the existing
 //! experiments run. Frontier dumps are byte-identical for a given
 //! `(--axes, --strategy, --budget, --seed)` at any `--threads` count.
+//! Short flags: `-a -s -b -t -f -l`. `--budget` and `--threads` are
+//! positive; workers default to `LPMEM_SWEEP_THREADS`, else all CPUs.
 
-use std::io::Write as _;
+use std::process::ExitCode;
 
+use lpmem_bench::cli::{self, join, Args};
 use lpmem_bench::sweep::worker_count;
 use lpmem_core::flows::{FaultSpec, VariantSpec};
 use lpmem_explore::{parse_strategy, DesignPoint, DesignSpace, Evaluator, SearchConfig, Workload};
 
-fn fail(msg: &str) -> ! {
-    eprintln!("explore: {msg}");
-    std::process::exit(2);
-}
-
 /// Builds the space from an `--axes` value: `full`, `small`, or a comma
 /// list of axis names — the listed axes keep their full breadth, the rest
 /// collapse to the default sweep variant's embedding.
-fn parse_axes(arg: &str) -> DesignSpace {
+fn parse_axes(arg: &str) -> Result<DesignSpace, String> {
     match arg.trim().to_ascii_lowercase().as_str() {
-        "full" => return DesignSpace::full(),
-        "small" => return DesignSpace::small(),
-        "cmp" => return DesignSpace::cmp(),
+        "full" => return Ok(DesignSpace::full()),
+        "small" => return Ok(DesignSpace::small()),
+        "cmp" => return Ok(DesignSpace::cmp()),
         _ => {}
     }
     let full = DesignSpace::cmp();
@@ -60,16 +58,21 @@ fn parse_axes(arg: &str) -> DesignSpace {
             "bus" | "buses" => space.buses = full.buses.clone(),
             "l0" | "l0s" => space.l0s = full.l0s.clone(),
             "cmp" | "cmps" => space.cmps = full.cmps.clone(),
-            other => fail(&format!(
-                "unknown axis {other:?} (banks, block, cache, codec, bus, l0, cmp, full, small)"
-            )),
+            other => {
+                return Err(format!(
+                    "unknown axis {other:?} (banks, block, cache, codec, bus, l0, cmp, full, small)"
+                ))
+            }
         }
     }
-    space
+    Ok(space)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
+    cli::main("explore", run)
+}
+
+fn run(mut args: Args) -> Result<(), String> {
     let mut space = DesignSpace::full();
     let mut strategy_name = "auto".to_owned();
     let mut budget = 256usize;
@@ -79,44 +82,23 @@ fn main() {
     let mut fault = FaultSpec::off();
     let mut list = false;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--axes" | "-a" => space = parse_axes(&value("--axes")),
-            "--strategy" | "-s" => strategy_name = value("--strategy"),
-            "--budget" | "-b" => match value("--budget").parse::<usize>() {
-                Ok(n) if n >= 1 => budget = n,
-                _ => fail("--budget needs a positive integer"),
-            },
-            "--seed" => match value("--seed").parse::<u64>() {
-                Ok(s) => seed = s,
-                Err(_) => fail("--seed needs an unsigned integer"),
-            },
-            "--threads" | "-t" => match value("--threads").parse::<usize>() {
-                Ok(n) if n >= 1 => threads = Some(n),
-                _ => fail("--threads needs a positive integer"),
-            },
-            "--jsonl" => jsonl_path = Some(value("--jsonl")),
-            "--faults" | "-f" => {
-                let spec = value("--faults");
-                fault = FaultSpec::parse(&spec)
-                    .unwrap_or_else(|| fail(&format!("unknown fault spec {spec:?}")));
-            }
+            "--axes" | "-a" => space = parse_axes(&args.value(&arg)?)?,
+            "--strategy" | "-s" => strategy_name = args.value(&arg)?,
+            "--budget" | "-b" => budget = args.positive(&arg)?,
+            "--seed" => seed = args.num(&arg)?,
+            "--threads" | "-t" => threads = Some(args.positive(&arg)?),
+            "--jsonl" => jsonl_path = Some(args.value(&arg)?),
+            "--faults" | "-f" => fault = args.parsed(&arg, FaultSpec::parse)?,
             "--list" | "-l" => list = true,
-            other => fail(&format!(
-                "unknown argument {other:?} (see src/bin/explore.rs)"
-            )),
+            _ => return Err(cli::unknown(&arg)),
         }
     }
 
-    if let Err(e) = space.validate() {
-        fail(&format!("invalid design space: {e}"));
-    }
+    space
+        .validate()
+        .map_err(|e| format!("invalid design space: {e}"))?;
     if list {
         println!(
             "banks:  {}",
@@ -149,11 +131,11 @@ fn main() {
             }
         );
         println!("points: {}", space.len());
-        return;
+        return Ok(());
     }
 
     let strategy = parse_strategy(&strategy_name, &space, budget)
-        .unwrap_or_else(|| fail("--strategy must be exhaustive, evolutionary, or auto"));
+        .ok_or("--strategy must be exhaustive, evolutionary, or auto")?;
     let workers = threads.unwrap_or_else(worker_count);
     // Seed the search with the sweep grid's embeddings so the frontier
     // provably covers the configurations the experiments already run.
@@ -184,65 +166,45 @@ fn main() {
     );
     let workload = Workload::default();
     let evaluator =
-        Evaluator::with_faults(workload, fault).unwrap_or_else(|e| fail(&format!("workload: {e}")));
+        Evaluator::with_faults(workload, fault).map_err(|e| format!("workload: {e}"))?;
     let out = strategy
         .search(&space, &evaluator, &cfg)
-        .unwrap_or_else(|e| fail(&format!("search failed: {e}")));
+        .map_err(|e| format!("search failed: {e}"))?;
 
     println!(
         "explore: {} evaluated, {} on the frontier",
         out.evaluated,
         out.frontier.len()
     );
-    if fault.enabled() {
-        println!(
-            "{:<42} {:>14} {:>10} {:>10} {:>8}",
-            "key", "energy_pj", "area_mm2", "cycles", "silent"
-        );
-    } else {
-        println!(
-            "{:<42} {:>14} {:>10} {:>10}",
-            "key", "energy_pj", "area_mm2", "cycles"
-        );
-    }
-    for p in out.frontier.points() {
+    let silent = |s: String| {
         if fault.enabled() {
-            println!(
-                "{:<42} {:>14.1} {:>10.4} {:>10} {:>8}",
-                p.point.key(),
-                p.objectives.energy_pj,
-                p.objectives.area_mm2,
-                p.objectives.cycles,
-                p.objectives.silent
-            );
+            format!(" {s:>8}")
         } else {
-            println!(
-                "{:<42} {:>14.1} {:>10.4} {:>10}",
-                p.point.key(),
-                p.objectives.energy_pj,
-                p.objectives.area_mm2,
-                p.objectives.cycles
-            );
+            String::new()
         }
+    };
+    println!(
+        "{:<42} {:>14} {:>10} {:>10}{}",
+        "key",
+        "energy_pj",
+        "area_mm2",
+        "cycles",
+        silent("silent".into())
+    );
+    for p in out.frontier.points() {
+        let o = &p.objectives;
+        println!(
+            "{:<42} {:>14.1} {:>10.4} {:>10}{}",
+            p.point.key(),
+            o.energy_pj,
+            o.area_mm2,
+            o.cycles,
+            silent(o.silent.to_string())
+        );
     }
 
     if let Some(path) = jsonl_path {
-        let jsonl = out.frontier.to_jsonl();
-        if path == "-" {
-            print!("{jsonl}");
-        } else {
-            let mut f = std::fs::File::create(&path)
-                .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
-            f.write_all(jsonl.as_bytes())
-                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            println!(
-                "explore: wrote {} frontier rows to {path}",
-                out.frontier.len()
-            );
-        }
+        cli::write_output(&path, &out.frontier.to_jsonl())?;
     }
-}
-
-fn join(items: impl Iterator<Item = impl Into<String>>) -> String {
-    items.map(Into::into).collect::<Vec<_>>().join(",")
+    Ok(())
 }

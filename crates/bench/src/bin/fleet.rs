@@ -8,6 +8,7 @@
 //! fleet --jsonl fleet.jsonl               # write the byte-stable report
 //! fleet --bench-json BENCH_fleet.json     # write the throughput report
 //! fleet --assert-peak-rss-mb 192          # fail if peak RSS exceeds bound
+//! fleet --seed 7 --shard 1024 --samples 8 --ws-window 64    # spec knobs
 //! fleet --list                            # list mix presets
 //! ```
 //!
@@ -16,19 +17,18 @@
 //! bounded by the per-device footprint regardless of fleet size, which
 //! `--assert-peak-rss-mb` turns into a hard gate. The JSONL body is a pure
 //! function of the spec: byte-identical at any `--threads` value.
+//! Workers: `--threads` (positive), else `LPMEM_SWEEP_THREADS`, else all
+//! CPUs. A report path of `-` is stdout. An empty class prints `n/a` where
+//! its JSON ratios are `null`. Usage errors and a failed RSS gate exit 2.
 
-use std::io::Write as _;
+use std::process::ExitCode;
 
+use lpmem_bench::cli::{self, Args};
 use lpmem_bench::fleet::{run_fleet, FleetReport, FleetSpec};
 use lpmem_bench::sweep::worker_count;
 use lpmem_core::flows::{FaultSpec, TechNode};
 use lpmem_core::{DeviceArchetype, WorkloadMix};
 use lpmem_util::json::JsonObject;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("fleet: {msg}");
-    std::process::exit(2);
-}
 
 /// Peak resident set size of this process in kB (`VmHWM` from
 /// `/proc/self/status`), when the platform exposes it.
@@ -38,7 +38,8 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-fn bench_json(report: &FleetReport) -> String {
+/// Writes the `--bench-json` throughput report.
+fn write_bench_json(path: &str, report: &FleetReport) -> Result<(), String> {
     let faults = report.spec.fault.enabled();
     let mut summary = JsonObject::new()
         .str(
@@ -68,14 +69,7 @@ fn bench_json(report: &FleetReport) -> String {
             .u64("detected", rel.detected)
             .u64("corrected", rel.corrected)
             .u64("silent", rel.silent)
-            .f64(
-                "campaigns_per_sec",
-                if report.elapsed_ns == 0 {
-                    0.0
-                } else {
-                    report.spec.devices as f64 * 1e9 / report.elapsed_ns as f64
-                },
-            );
+            .f64("campaigns_per_sec", report.devices_per_sec());
     }
     let summary = summary.finish();
     let classes: Vec<String> = report
@@ -87,88 +81,61 @@ fn bench_json(report: &FleetReport) -> String {
                 .str("class", DeviceArchetype::ALL[c].name())
                 .u64("devices", agg.devices)
                 .u64("events", agg.events)
+                // An empty class has no ratio: JSON `null`.
                 .f64(
                     "mean_stack_distance",
-                    agg.dist_sum as f64 / agg.reuses as f64,
+                    agg.mean_stack_distance().unwrap_or(f64::NAN),
                 )
-                .f64("spatial_locality", agg.near_pairs as f64 / agg.pairs as f64)
+                .f64(
+                    "spatial_locality",
+                    agg.spatial_locality().unwrap_or(f64::NAN),
+                )
                 .finish()
         })
         .collect();
-    format!(
-        "{{\"summary\":{summary},\"classes\":[{}]}}\n",
-        classes.join(",")
-    )
+    cli::write_bench(path, &summary, "classes", &classes)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
+    cli::main("fleet", run)
+}
+
+fn run(mut args: Args) -> Result<(), String> {
     let mut spec = FleetSpec::new(WorkloadMix::uniform());
     spec.devices = 1_000_000;
-    let mut threads = worker_count();
+    let mut threads = None;
     let mut jsonl_path: Option<String> = None;
     let mut bench_path: Option<String> = None;
     let mut max_rss_mb: Option<u64> = None;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        let parse_u64 = |name: &str, v: String| -> u64 {
-            v.parse()
-                .unwrap_or_else(|_| fail(&format!("{name} needs an unsigned integer")))
-        };
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--devices" => spec.devices = parse_u64("--devices", value("--devices")),
-            "--events" => {
-                spec.events_per_device = parse_u64("--events", value("--events")) as usize
-            }
-            "--threads" => threads = parse_u64("--threads", value("--threads")).max(1) as usize,
-            "--mix" => {
-                let v = value("--mix");
-                spec.mix = WorkloadMix::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown mix {v:?} (try --list)")));
-            }
-            "--seed" => spec.base_seed = parse_u64("--seed", value("--seed")),
-            "--shard" => spec.shard_devices = parse_u64("--shard", value("--shard")),
-            "--samples" => spec.samples = parse_u64("--samples", value("--samples")) as usize,
-            "--ws-window" => {
-                spec.ws_window = parse_u64("--ws-window", value("--ws-window")) as usize
-            }
-            "--faults" => {
-                let v = value("--faults");
-                spec.fault = FaultSpec::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown fault spec {v:?}")));
-            }
-            "--tech" => {
-                let v = value("--tech");
-                spec.tech = TechNode::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown tech node {v:?}")));
-            }
-            "--jsonl" => jsonl_path = Some(value("--jsonl")),
-            "--bench-json" => bench_path = Some(value("--bench-json")),
-            "--assert-peak-rss-mb" => {
-                max_rss_mb = Some(parse_u64(
-                    "--assert-peak-rss-mb",
-                    value("--assert-peak-rss-mb"),
-                ))
-            }
+            "--devices" => spec.devices = args.num(&arg)?,
+            "--events" => spec.events_per_device = args.num(&arg)?,
+            "--threads" => threads = Some(args.positive(&arg)?),
+            "--mix" => spec.mix = args.parsed(&arg, WorkloadMix::parse)?,
+            "--seed" => spec.base_seed = args.num(&arg)?,
+            "--shard" => spec.shard_devices = args.num(&arg)?,
+            "--samples" => spec.samples = args.num(&arg)?,
+            "--ws-window" => spec.ws_window = args.num(&arg)?,
+            "--faults" => spec.fault = args.parsed(&arg, FaultSpec::parse)?,
+            "--tech" => spec.tech = args.parsed(&arg, TechNode::parse)?,
+            "--jsonl" => jsonl_path = Some(args.value(&arg)?),
+            "--bench-json" => bench_path = Some(args.value(&arg)?),
+            "--assert-peak-rss-mb" => max_rss_mb = Some(args.num(&arg)?),
             "--list" => {
                 println!("mix presets: uniform, embedded, media, chase");
                 println!("custom mixes: 5 comma-separated weights in archetype order:");
                 for a in DeviceArchetype::ALL {
                     println!("  {}", a.name());
                 }
-                return;
+                return Ok(());
             }
-            _ => fail(&format!("unknown argument {arg:?} (see the module docs)")),
+            _ => return Err(cli::unknown(&arg)),
         }
     }
 
-    let report = run_fleet(&spec, threads).unwrap_or_else(|e| fail(&e));
+    let report = run_fleet(&spec, threads.unwrap_or_else(worker_count))?;
 
     println!(
         "== fleet: {} devices x {} events, mix {}, {} workers ==",
@@ -181,24 +148,16 @@ fn main() {
         "  {:<14} {:>9} {:>12} {:>10} {:>10} {:>8}",
         "class", "devices", "events", "mean dist", "spatial", "ws max"
     );
+    let ratio =
+        |r: Option<f64>, digits: usize| r.map_or("n/a".to_owned(), |r| format!("{r:.digits$}"));
     for (c, agg) in report.per_class.iter().enumerate() {
-        let mean_dist = if agg.reuses > 0 {
-            agg.dist_sum as f64 / agg.reuses as f64
-        } else {
-            0.0
-        };
-        let spatial = if agg.pairs > 0 {
-            agg.near_pairs as f64 / agg.pairs as f64
-        } else {
-            0.0
-        };
         println!(
-            "  {:<14} {:>9} {:>12} {:>10.1} {:>10.3} {:>8}",
+            "  {:<14} {:>9} {:>12} {:>10} {:>10} {:>8}",
             DeviceArchetype::ALL[c].name(),
             agg.devices,
             agg.events,
-            mean_dist,
-            spatial,
+            ratio(agg.mean_stack_distance(), 1),
+            ratio(agg.spatial_locality(), 3),
             agg.ws_max
         );
     }
@@ -227,25 +186,19 @@ fn main() {
     }
 
     if let Some(path) = jsonl_path {
-        match std::fs::write(&path, report.jsonl()) {
-            Ok(()) => println!("  jsonl written to {path}"),
-            Err(e) => fail(&format!("cannot write {path}: {e}")),
-        }
+        cli::write_output(&path, &report.jsonl())?;
     }
     if let Some(path) = bench_path {
-        match std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(bench_json(&report).as_bytes()))
-        {
-            Ok(()) => println!("  bench report written to {path}"),
-            Err(e) => fail(&format!("cannot write {path}: {e}")),
-        }
+        write_bench_json(&path, &report)?;
     }
     if let Some(limit_mb) = max_rss_mb {
         match peak_rss_kb() {
-            Some(kb) if kb > limit_mb * 1024 => fail(&format!(
-                "peak RSS {:.1} MiB exceeds the {limit_mb} MiB bound",
-                kb as f64 / 1024.0
-            )),
+            Some(kb) if kb > limit_mb.saturating_mul(1024) => {
+                return Err(format!(
+                    "peak RSS {:.1} MiB exceeds the {limit_mb} MiB bound",
+                    kb as f64 / 1024.0
+                ))
+            }
             Some(kb) => println!(
                 "  peak-RSS gate passed: {:.1} MiB <= {limit_mb} MiB",
                 kb as f64 / 1024.0
@@ -253,4 +206,5 @@ fn main() {
             None => println!("  peak-RSS gate skipped (no /proc/self/status)"),
         }
     }
+    Ok(())
 }

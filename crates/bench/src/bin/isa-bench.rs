@@ -15,20 +15,18 @@
 //! timed. `LPMEM_BENCH_QUICK=1` implies `--quick`. The `--check-speedup`
 //! gate is skipped on single-CPU machines (or when
 //! `LPMEM_SKIP_TIMING_GATE=1`), where wall-clock ratios are unreliable.
+//! A geomean that is not finite fails it. `--json -` writes to stdout;
+//! usage errors, a diverging backend and a failed gate exit 2.
 
-use std::io::Write as _;
+use std::process::ExitCode;
 
+use lpmem_bench::cli::{self, Args};
 use lpmem_isa::{Backend, Kernel, Machine, Reg};
 use lpmem_util::bench::{benchmark_paired, format_ns, Measurement, Options, PairedMeasurement};
 use lpmem_util::json::JsonObject;
 
 /// The kernel library's step budget (`lpmem_isa::kernels::MAX_STEPS`).
 const MAX_STEPS: u64 = 50_000_000;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("isa-bench: {msg}");
-    std::process::exit(2);
-}
 
 /// One kernel's smoke + timing result.
 struct KernelReport {
@@ -61,44 +59,42 @@ impl KernelReport {
     }
 }
 
-/// Runs the kernel on both backends, asserts byte-identical behaviour,
+/// Runs the kernel on both backends, checks byte-identical behaviour,
 /// and returns the instruction count.
-fn differential_smoke(kernel: Kernel, scale: u32, seed: u64) -> u64 {
+fn differential_smoke(kernel: Kernel, scale: u32, seed: u64) -> Result<u64, String> {
+    let name = kernel.name();
     let program = kernel.program(scale, seed);
     let mut interp = Machine::new(&program);
     let interp_run = interp
         .run(MAX_STEPS)
-        .unwrap_or_else(|e| fail(&format!("{}: interpreter failed: {e}", kernel.name())));
+        .map_err(|e| format!("{name}: interpreter failed: {e}"))?;
     let mut compiled = Machine::new(&program);
     let compiled_run = compiled
         .run_with(Backend::Compiled, MAX_STEPS)
-        .unwrap_or_else(|e| fail(&format!("{}: compiled backend failed: {e}", kernel.name())));
+        .map_err(|e| format!("{name}: compiled backend failed: {e}"))?;
     if compiled_run.steps != interp_run.steps {
-        fail(&format!(
-            "{}: step divergence: interp {} vs compiled {}",
-            kernel.name(),
-            interp_run.steps,
-            compiled_run.steps
+        return Err(format!(
+            "{name}: step divergence: interp {} vs compiled {}",
+            interp_run.steps, compiled_run.steps
         ));
     }
     if compiled_run.trace != interp_run.trace {
-        fail(&format!(
-            "{}: trace divergence over {} events",
-            kernel.name(),
+        return Err(format!(
+            "{name}: trace divergence over {} events",
             interp_run.trace.len()
         ));
     }
     for i in 0..16u8 {
-        let r = Reg::new(i).unwrap_or_else(|| fail("register index"));
+        let r = Reg::new(i).ok_or("register index")?;
         if compiled.reg(r) != interp.reg(r) {
-            fail(&format!("{}: register r{i} diverged", kernel.name()));
+            return Err(format!("{name}: register r{i} diverged"));
         }
     }
     // The kernel library's own verification (machine vs Rust reference).
     kernel
         .run_with(Backend::Compiled, scale, seed)
-        .unwrap_or_else(|e| fail(&format!("{}: verified run failed: {e}", kernel.name())));
-    interp_run.steps
+        .map_err(|e| format!("{name}: verified run failed: {e}"))?;
+    Ok(interp_run.steps)
 }
 
 /// Times both backends with paired samples so machine-load drift cancels
@@ -110,7 +106,7 @@ fn time_backends(kernel: Kernel, scale: u32, seed: u64, opts: &Options) -> Paire
         move || {
             let mut m = Machine::new(&program);
             m.run_with(backend, MAX_STEPS)
-                .unwrap_or_else(|e| fail(&format!("{}: {e}", kernel.name())))
+                .expect("the differential smoke ran this program cleanly")
                 .steps
         }
     };
@@ -123,42 +119,28 @@ fn time_backends(kernel: Kernel, scale: u32, seed: u64, opts: &Options) -> Paire
     )
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
+    cli::main("isa-bench", run)
+}
+
+fn run(mut args: Args) -> Result<(), String> {
     let mut quick = std::env::var_os("LPMEM_BENCH_QUICK").is_some();
     let mut json_path = String::from("BENCH_isa.json");
     let mut min_speedup: Option<f64> = None;
     let mut seed: u64 = 2003;
     let mut kernels: Vec<Kernel> = Kernel::ALL.to_vec();
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
-            "--json" => json_path = value("--json"),
-            "--check-speedup" => match value("--check-speedup").parse::<f64>() {
-                Ok(x) if x > 0.0 => min_speedup = Some(x),
-                _ => fail("--check-speedup needs a positive number"),
+            "--json" => json_path = args.value(&arg)?,
+            "--check-speedup" => match args.num::<f64>(&arg)? {
+                x if x > 0.0 => min_speedup = Some(x),
+                _ => return Err("--check-speedup needs a positive number".to_owned()),
             },
-            "--seed" => match value("--seed").parse::<u64>() {
-                Ok(s) => seed = s,
-                Err(_) => fail("--seed needs an unsigned integer"),
-            },
-            "--kernels" => {
-                kernels = value("--kernels")
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| {
-                        Kernel::parse(s).unwrap_or_else(|| fail(&format!("unknown kernel {s:?}")))
-                    })
-                    .collect();
-            }
-            _ => fail(&format!("unknown argument {arg:?} (see the module docs)")),
+            "--seed" => seed = args.num(&arg)?,
+            "--kernels" => kernels = args.list(&arg, Kernel::parse)?,
+            _ => return Err(cli::unknown(&arg)),
         }
     }
 
@@ -178,7 +160,7 @@ fn main() {
     let mut reports: Vec<KernelReport> = Vec::new();
     for &kernel in &kernels {
         let scale = kernel.default_scale();
-        let instret = differential_smoke(kernel, scale, seed);
+        let instret = differential_smoke(kernel, scale, seed)?;
         println!(
             "  {:<10} scale {:<4} instret {:>9}  traces byte-identical",
             kernel.name(),
@@ -224,14 +206,7 @@ fn main() {
         .u64("kernels", reports.len() as u64)
         .f64("geomean_speedup", geomean)
         .finish();
-    let report = format!(
-        "{{\"summary\":{summary},\"kernels\":[{}]}}\n",
-        body.join(",")
-    );
-    match std::fs::File::create(&json_path).and_then(|mut f| f.write_all(report.as_bytes())) {
-        Ok(()) => println!("  report written to {json_path}"),
-        Err(e) => fail(&format!("cannot write {json_path}: {e}")),
-    }
+    cli::write_bench(&json_path, &summary, "kernels", &body)?;
 
     if let Some(min) = min_speedup {
         let single_cpu = std::thread::available_parallelism()
@@ -239,12 +214,13 @@ fn main() {
             .unwrap_or(true);
         if single_cpu || std::env::var_os("LPMEM_SKIP_TIMING_GATE").is_some() {
             println!("  timing gate skipped (single CPU or LPMEM_SKIP_TIMING_GATE)");
-        } else if geomean < min {
-            fail(&format!(
+        } else if !geomean.is_finite() || geomean < min {
+            return Err(format!(
                 "geomean speedup {geomean:.2}x is below the required {min:.2}x"
             ));
         } else {
             println!("  timing gate passed: {geomean:.2}x >= {min:.2}x");
         }
     }
+    Ok(())
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! lpmem-cli kernels                          list the benchmark kernels
 //! lpmem-cli run <kernel> [opts]              run a kernel, print stats
-//!     --scale N --seed S --trace FILE        (dump the trace as text)
+//!     --scale N --seed S --trace FILE        (dump the trace; - = stdout)
 //! lpmem-cli disasm <kernel> [--scale N]      disassemble a kernel's text
 //! lpmem-cli stats <trace.txt>                locality report for a trace
 //! lpmem-cli partition <trace.txt> [opts]     the 1B.1 flow on a trace file
@@ -12,9 +12,13 @@
 //!     --scale N --platform vliw|risc --codec diff|zero|fpc
 //! lpmem-cli buscode <kernel> [--regions R]   the 1B.3 flow on a kernel
 //! ```
+//!
+//! Options and the positional argument come in any order. Anything else,
+//! or a bad value, is a usage error (exit 2).
 
 use std::process::ExitCode;
 
+use lpmem_bench::cli::{self, Args};
 use lpmem_compress::{DiffCodec, FpcCodec, LineCodec, ZeroRunCodec};
 use lpmem_core::flows::buscoding::run_buscoding;
 use lpmem_core::flows::compression::{run_compression_kernel, PlatformKind};
@@ -24,30 +28,25 @@ use lpmem_isa::{disassemble, Kernel};
 use lpmem_trace::{LocalityReport, Trace};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(2)
-        }
-    }
+    cli::main("lpmem-cli", run)
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
+fn run(mut args: Args) -> Result<(), String> {
+    let Some(cmd) = args.next() else {
         print_usage();
         return Ok(());
     };
-    let rest = &args[1..];
     match cmd.as_str() {
-        "kernels" => cmd_kernels(),
-        "run" => cmd_run(rest),
-        "disasm" => cmd_disasm(rest),
-        "stats" => cmd_stats(rest),
-        "partition" => cmd_partition(rest),
-        "compress" => cmd_compress(rest),
-        "buscode" => cmd_buscode(rest),
+        "kernels" => match args.next() {
+            None => cmd_kernels(),
+            Some(extra) => Err(cli::unknown(&extra)),
+        },
+        "run" => cmd_run(Opts::parse(args, &["--scale", "--seed", "--trace"])?),
+        "disasm" => cmd_disasm(Opts::parse(args, &["--scale"])?),
+        "stats" => cmd_stats(Opts::parse(args, &[])?),
+        "partition" => cmd_partition(Opts::parse(args, &["--banks", "--block"])?),
+        "compress" => cmd_compress(Opts::parse(args, &["--scale", "--platform", "--codec"])?),
+        "buscode" => cmd_buscode(Opts::parse(args, &["--regions"])?),
         "--help" | "-h" | "help" => {
             print_usage();
             Ok(())
@@ -70,33 +69,59 @@ fn print_usage() {
     );
 }
 
-/// Pulls `--name value` out of an argument list.
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// A command's positional target (kernel or trace file) and options.
+#[derive(Default)]
+struct Opts {
+    target: Option<String>,
+    scale: Option<u32>,
+    seed: Option<u64>,
+    trace: Option<String>,
+    banks: Option<usize>,
+    block: Option<u64>,
+    platform: Option<String>,
+    codec: Option<String>,
+    regions: Option<usize>,
 }
 
-fn opt_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match opt(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name} expects a number, got `{v}`")),
+impl Opts {
+    /// Reads one target and the listed `flags`; anything else is an error.
+    fn parse(mut args: Args, flags: &[&str]) -> Result<Opts, String> {
+        let mut o = Opts::default();
+        while let Some(arg) = args.next() {
+            let flag = arg.as_str();
+            match flag {
+                _ if !flags.contains(&flag) => {
+                    if cli::is_flag(flag) || o.target.is_some() {
+                        return Err(cli::unknown(flag));
+                    }
+                    o.target = Some(arg);
+                }
+                "--scale" => o.scale = Some(args.num(flag)?),
+                "--seed" => o.seed = Some(args.num(flag)?),
+                "--trace" => o.trace = Some(args.value(flag)?),
+                "--banks" => o.banks = Some(args.num(flag)?),
+                "--block" => o.block = Some(args.num(flag)?),
+                "--platform" => o.platform = Some(args.value(flag)?),
+                "--codec" => o.codec = Some(args.value(flag)?),
+                "--regions" => o.regions = Some(args.num(flag)?),
+                _ => return Err(cli::unknown(flag)),
+            }
+        }
+        Ok(o)
     }
-}
 
-/// The positional kernel-name argument, parsed.
-fn kernel_arg(args: &[String]) -> Result<Kernel, String> {
-    let name = positional(args, "kernel name")?;
-    Kernel::parse(&name).ok_or_else(|| format!("unknown kernel `{name}` (see `lpmem-cli kernels`)"))
-}
+    fn target(&self, what: &str) -> Result<&str, String> {
+        self.target
+            .as_deref()
+            .ok_or_else(|| format!("missing {what}"))
+    }
 
-fn positional(args: &[String], what: &str) -> Result<String, String> {
-    args.iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .ok_or_else(|| format!("missing {what}"))
+    /// The target, parsed as a kernel name.
+    fn kernel(&self) -> Result<Kernel, String> {
+        let name = self.target("kernel name")?;
+        Kernel::parse(name)
+            .ok_or_else(|| format!("unknown kernel `{name}` (see `lpmem-cli kernels`)"))
+    }
 }
 
 fn cmd_kernels() -> Result<(), String> {
@@ -118,10 +143,10 @@ fn cmd_kernels() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let kernel = kernel_arg(args)?;
-    let scale = opt_num(args, "--scale", kernel.default_scale())?;
-    let seed = opt_num(args, "--seed", 1u64)?;
+fn cmd_run(opts: Opts) -> Result<(), String> {
+    let kernel = opts.kernel()?;
+    let scale = opts.scale.unwrap_or(kernel.default_scale());
+    let seed = opts.seed.unwrap_or(1);
     let run = kernel.run(scale, seed).map_err(|e| e.to_string())?;
     let (f, r, w) = run.trace.kind_counts();
     println!(
@@ -134,17 +159,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         run.trace.len()
     );
     println!("verified   : yes (output matches the Rust reference)");
-    if let Some(path) = opt(args, "--trace") {
-        std::fs::write(&path, lpmem_trace::io::to_text(&run.trace))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("trace written to {path}");
+    if let Some(path) = opts.trace {
+        cli::write_output(&path, &lpmem_trace::io::to_text(&run.trace))?;
     }
     Ok(())
 }
 
-fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let kernel = kernel_arg(args)?;
-    let scale = opt_num(args, "--scale", kernel.default_scale())?;
+fn cmd_disasm(opts: Opts) -> Result<(), String> {
+    let kernel = opts.kernel()?;
+    let scale = opts.scale.unwrap_or(kernel.default_scale());
     let program = kernel.program(scale, 1);
     for (i, line) in disassemble(program.entry(), &program.text_words())
         .iter()
@@ -155,9 +178,8 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let path = positional(args, "trace file")?;
-    let trace = load_trace(&path)?;
+fn cmd_stats(opts: Opts) -> Result<(), String> {
+    let trace = load_trace(opts.target("trace file")?)?;
     let report = LocalityReport::from_trace(&trace, 64).map_err(|e| e.to_string())?;
     println!("events             : {}", report.events);
     println!(
@@ -175,16 +197,16 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_partition(args: &[String]) -> Result<(), String> {
-    let path = positional(args, "trace file")?;
-    let trace = load_trace(&path)?;
+fn cmd_partition(opts: Opts) -> Result<(), String> {
+    let path = opts.target("trace file")?;
+    let trace = load_trace(path)?;
     let cfg = PartitioningConfig {
-        max_banks: opt_num(args, "--banks", 8usize)?,
-        block_size: opt_num(args, "--block", 2048u64)?,
+        max_banks: opts.banks.unwrap_or(8),
+        block_size: opts.block.unwrap_or(2048),
         ..Default::default()
     };
     let out =
-        run_partitioning(&path, &trace, &cfg, &Technology::tech180()).map_err(|e| e.to_string())?;
+        run_partitioning(path, &trace, &cfg, &Technology::tech180()).map_err(|e| e.to_string())?;
     println!("blocks     : {} x {} B", out.blocks, cfg.block_size);
     println!("monolithic : {}", out.monolithic);
     println!(
@@ -207,15 +229,15 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compress(args: &[String]) -> Result<(), String> {
-    let kernel = kernel_arg(args)?;
-    let scale = opt_num(args, "--scale", kernel.default_scale() * 4)?;
-    let platform = match opt(args, "--platform").as_deref() {
+fn cmd_compress(opts: Opts) -> Result<(), String> {
+    let kernel = opts.kernel()?;
+    let scale = opts.scale.unwrap_or(kernel.default_scale() * 4);
+    let platform = match opts.platform.as_deref() {
         None | Some("vliw") => PlatformKind::VliwLike,
         Some("risc") => PlatformKind::RiscLike,
         Some(other) => return Err(format!("unknown platform `{other}`")),
     };
-    let codec: Box<dyn LineCodec> = match opt(args, "--codec").as_deref() {
+    let codec: Box<dyn LineCodec> = match opts.codec.as_deref() {
         None | Some("diff") => Box::new(DiffCodec::new()),
         Some("zero") => Box::new(ZeroRunCodec::new()),
         Some("fpc") => Box::new(FpcCodec::new()),
@@ -241,9 +263,9 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_buscode(args: &[String]) -> Result<(), String> {
-    let kernel = kernel_arg(args)?;
-    let regions = opt_num(args, "--regions", 4usize)?;
+fn cmd_buscode(opts: Opts) -> Result<(), String> {
+    let kernel = opts.kernel()?;
+    let regions = opts.regions.unwrap_or(4);
     let run = kernel
         .run(kernel.default_scale(), 1)
         .map_err(|e| e.to_string())?;

@@ -278,7 +278,7 @@ pub fn simulate_device(spec: &FleetSpec, device: u64) -> DeviceStats {
 /// Integer aggregate over all devices of one class. Merging is
 /// commutative and associative (sums and maxima of integers), so any
 /// shard order produces the same aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClassAgg {
     /// Devices of this class.
     pub devices: u64,
@@ -308,27 +308,19 @@ pub struct ClassAgg {
     pub reliability: ReliabilityReport,
 }
 
-impl Default for ClassAgg {
-    fn default() -> Self {
-        ClassAgg {
-            devices: 0,
-            events: 0,
-            cold: 0,
-            reuses: 0,
-            dist_sum: 0,
-            dist_hist: [0; DIST_BUCKETS],
-            near_pairs: 0,
-            pairs: 0,
-            ws_windows: 0,
-            ws_distinct_sum: 0,
-            ws_max: 0,
-            max_footprint: 0,
-            reliability: ReliabilityReport::default(),
-        }
-    }
-}
-
 impl ClassAgg {
+    /// Mean stack distance over the class's reuses; `None` when the class
+    /// saw no reuse (an empty class).
+    pub fn mean_stack_distance(&self) -> Option<f64> {
+        (self.reuses > 0).then(|| self.dist_sum as f64 / self.reuses as f64)
+    }
+
+    /// Share of consecutive access pairs that are spatially near; `None`
+    /// when the class streamed no pair (an empty class).
+    pub fn spatial_locality(&self) -> Option<f64> {
+        (self.pairs > 0).then(|| self.near_pairs as f64 / self.pairs as f64)
+    }
+
     /// Folds one device into the aggregate.
     pub fn absorb(&mut self, d: &DeviceStats) {
         self.devices += 1;
@@ -551,11 +543,15 @@ impl FleetReport {
                 .u64("ws_distinct_sum", agg.ws_distinct_sum)
                 .u64("ws_max", agg.ws_max)
                 .u64("max_footprint", agg.max_footprint)
+                // An empty class has no ratio: JSON `null`.
                 .f64(
                     "mean_stack_distance",
-                    agg.dist_sum as f64 / agg.reuses as f64,
+                    agg.mean_stack_distance().unwrap_or(f64::NAN),
                 )
-                .f64("spatial_locality", agg.near_pairs as f64 / agg.pairs as f64)
+                .f64(
+                    "spatial_locality",
+                    agg.spatial_locality().unwrap_or(f64::NAN),
+                )
                 .f64(
                     "ws_mean",
                     agg.ws_distinct_sum as f64 / agg.ws_windows as f64,

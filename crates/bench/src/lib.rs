@@ -7,6 +7,7 @@
 //! reproduction harness" cannot drift apart.
 
 pub mod benchrun;
+pub mod cli;
 pub mod experiments;
 pub mod fleet;
 pub mod metrics;

@@ -1,0 +1,162 @@
+//! Command-line regression tests: the built binaries reject bad input
+//! with a usage error (exit 2, no panic), accept flags in any order, and
+//! keep the fixes their shared argument layer brought.
+
+use std::ffi::OsString;
+use std::process::{Command, Output};
+
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+const CLI: &str = env!("CARGO_BIN_EXE_lpmem-cli");
+const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+const EXPLORE: &str = env!("CARGO_BIN_EXE_explore");
+const FLEET: &str = env!("CARGO_BIN_EXE_fleet");
+const ISA: &str = env!("CARGO_BIN_EXE_isa-bench");
+const CMP: &str = env!("CARGO_BIN_EXE_cmp-bench");
+
+/// Every binary, with the arguments that must precede a flag.
+const BINS: [(&str, &[&str]); 7] = [
+    (REPRO, &[]),
+    (CLI, &["run", "fir"]),
+    (SWEEP, &[]),
+    (EXPLORE, &[]),
+    (FLEET, &[]),
+    (ISA, &[]),
+    (CMP, &[]),
+];
+
+fn run<S: Into<OsString> + Clone>(bin: &str, args: &[S]) -> Output {
+    Command::new(bin)
+        .args(args.iter().cloned().map(Into::into))
+        .env_remove("LPMEM_BENCH_QUICK")
+        .output()
+        .expect("the binary runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn assert_usage_error<S: Into<OsString> + Clone + std::fmt::Debug>(bin: &str, args: &[S]) {
+    let out = run(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+}
+
+fn with_prefix(prefix: &[&str], rest: &[&str]) -> Vec<String> {
+    prefix.iter().chain(rest).map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    for (bin, prefix) in BINS {
+        assert_usage_error(bin, &with_prefix(prefix, &["--bogus"]));
+    }
+    assert_usage_error(CLI, &["run", "fir", "--scael", "4"]);
+    assert_usage_error(CLI, &["stats", "a.trace", "--banks", "4"]);
+}
+
+#[test]
+fn flags_missing_their_value_are_usage_errors() {
+    for (bin, args) in [
+        (CLI, &["run", "fir", "--scale"][..]),
+        (SWEEP, &["--jsonl"]),
+        (EXPLORE, &["--seed"]),
+        (FLEET, &["--devices"]),
+        (ISA, &["--json"]),
+        (CMP, &["--seed"]),
+    ] {
+        assert_usage_error(bin, args);
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn non_utf8_arguments_are_usage_errors() {
+    use std::os::unix::ffi::OsStringExt;
+    let bad = OsString::from_vec(vec![0xff]);
+    for (bin, prefix) in BINS {
+        let mut args: Vec<OsString> = prefix.iter().map(OsString::from).collect();
+        args.push(bad.clone());
+        assert_usage_error(bin, &args);
+    }
+    assert_usage_error(SWEEP, &[OsString::from("--flows"), bad.clone()]);
+    assert_usage_error(CLI, &[bad]);
+}
+
+#[test]
+fn threads_must_be_a_positive_integer_everywhere() {
+    for bin in [SWEEP, EXPLORE, FLEET] {
+        assert_usage_error(bin, &["--threads", "0"]);
+        assert_usage_error(bin, &["--threads", "-1"]);
+    }
+}
+
+#[test]
+fn empty_and_unknown_list_elements_are_usage_errors() {
+    assert_usage_error(ISA, &["--quick", "--kernels", ",", "--check-speedup", "5"]);
+    assert_usage_error(SWEEP, &["--kernels", "fir,nope", "--list"]);
+    assert_usage_error(SWEEP, &["--flows", " , ", "--list"]);
+}
+
+#[test]
+fn sweep_flags_apply_in_any_order() {
+    let a = run(SWEEP, &["--kernels", "fir", "--quick", "--list"]);
+    let b = run(SWEEP, &["--quick", "--kernels", "fir", "--list"]);
+    assert!(a.status.success() && b.status.success());
+    assert_eq!(stdout(&a), stdout(&b));
+    assert!(stdout(&a).contains("kernels:  fir@24\n"), "{}", stdout(&a));
+    assert!(stdout(&a).contains("tasks:    30\n"), "{}", stdout(&a));
+    // Without --quick a filter keeps the full-grid scales, in its order.
+    let full = stdout(&run(SWEEP, &["--kernels", "dct8,fir", "--list"]));
+    assert!(full.contains("kernels:  dct8@24,fir@96\n"), "{full}");
+}
+
+#[test]
+fn positional_arguments_may_follow_options() {
+    let out = run(CLI, &["run", "--scale", "4", "fir"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout(&out).contains("kernel     : fir (scale 4, seed 1)"));
+}
+
+#[test]
+fn a_sparse_trace_file_is_an_error_not_an_abort() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sparse.trace");
+    std::fs::write(&path, "R 0 4 0\nR 100000000000 4 0\n").expect("write the trace");
+    let path = path.to_str().expect("UTF-8 temp path");
+    assert_usage_error(CLI, &["partition", path]);
+    assert!(run(CLI, &["stats", path]).status.success());
+}
+
+#[test]
+fn empty_fleet_classes_show_na_where_the_json_has_null() {
+    let out = run(
+        FLEET,
+        &[
+            "--devices",
+            "16",
+            "--events",
+            "64",
+            "--mix",
+            "1,0,0,0,0",
+            "--threads",
+            "1",
+            "--bench-json",
+            "-",
+        ],
+    );
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let strided = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("strided"))
+        .expect("a strided row");
+    assert_eq!(strided.matches("n/a").count(), 2, "{strided}");
+    assert!(text.contains(
+        r#"{"class":"strided","devices":0,"events":0,"mean_stack_distance":null,"spatial_locality":null}"#
+    ));
+}

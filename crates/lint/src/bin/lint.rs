@@ -21,6 +21,10 @@
 //!
 //! Output is byte-stable for a given tree: files are walked in sorted
 //! order and diagnostics sort by (path, line, rule).
+//!
+//! An unknown flag, a flag missing its value and an argument that is not
+//! valid UTF-8 print the usage line and exit 2. The linter keeps its own
+//! argument loop: its crate depends on nothing, in-tree crates included.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -35,7 +39,14 @@ fn main() -> ExitCode {
     let mut deny = false;
     let mut bench_json: Option<PathBuf> = None;
 
-    let mut args = std::env::args().skip(1);
+    let args: Result<Vec<String>, _> = std::env::args_os()
+        .skip(1)
+        .map(std::ffi::OsString::into_string)
+        .collect();
+    let Ok(args) = args else {
+        return usage("arguments must be valid UTF-8");
+    };
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {

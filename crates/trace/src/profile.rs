@@ -25,12 +25,20 @@ pub struct BlockProfile {
 }
 
 impl BlockProfile {
+    /// The most blocks a profile built from a trace may cover. In-tree
+    /// workloads span a few hundred blocks; the bound sits far above that
+    /// and keeps a sparse or corrupt trace file from asking for gigabytes
+    /// of counters (two `u64` per block, untouched ones included).
+    pub const MAX_BLOCKS: u64 = 1 << 22;
+
     /// Builds a profile from a trace with the given power-of-two block size.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::InvalidBlockSize`] for a bad block size and
-    /// [`TraceError::EmptyTrace`] for an empty trace.
+    /// Returns [`TraceError::InvalidBlockSize`] for a bad block size,
+    /// [`TraceError::EmptyTrace`] for an empty trace, and
+    /// [`TraceError::InvalidParameter`] when the trace spans more than
+    /// [`MAX_BLOCKS`](Self::MAX_BLOCKS) blocks.
     ///
     /// # Examples
     ///
@@ -48,8 +56,12 @@ impl BlockProfile {
         let (lo, hi) = trace.span().ok_or(TraceError::EmptyTrace)?;
         let first = lo >> shift;
         let last = hi >> shift;
-        let n = usize::try_from(last - first + 1)
-            .map_err(|_| TraceError::InvalidParameter("trace span too large for block size"))?;
+        if last - first >= Self::MAX_BLOCKS {
+            return Err(TraceError::InvalidParameter(
+                "trace spans too many blocks for a profile",
+            ));
+        }
+        let n = (last - first) as usize + 1;
         let mut counts = vec![0u64; n];
         let mut writes = vec![0u64; n];
         for ev in trace {
@@ -273,6 +285,21 @@ mod tests {
             BlockProfile::from_trace(&Trace::new(), 4096).unwrap_err(),
             TraceError::EmptyTrace
         );
+    }
+
+    #[test]
+    fn spans_past_the_block_bound_are_errors_not_allocations() {
+        let span = |hi: u64| -> Trace { vec![MemEvent::read(0), MemEvent::read(hi)].into() };
+        let last = (BlockProfile::MAX_BLOCKS - 1) * 64;
+        let p = BlockProfile::from_trace(&span(last), 64).unwrap();
+        assert_eq!(p.num_blocks() as u64, BlockProfile::MAX_BLOCKS);
+        for hi in [last + 64, 0x1000_0000_0000, u64::MAX] {
+            assert!(matches!(
+                BlockProfile::from_trace(&span(hi), 64),
+                Err(TraceError::InvalidParameter(_))
+            ));
+        }
+        assert!(BlockProfile::from_trace(&span(u64::MAX), 1).is_err());
     }
 
     #[test]
