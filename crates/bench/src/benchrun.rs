@@ -48,7 +48,7 @@ pub fn run_case<R>(
 
 /// One bench case for [`run_cases`]: a named closure with an optional
 /// throughput annotation, boxed so a bench binary can build its whole
-/// suite up front and hand it to the sweep engine.
+/// suite up front.
 pub struct BenchCase {
     /// Row label.
     pub name: String,
@@ -56,7 +56,7 @@ pub struct BenchCase {
     /// iterations/second.
     pub throughput: Option<(u64, &'static str)>,
     /// The workload to measure.
-    pub run: Box<dyn FnMut() + Send>,
+    pub run: Box<dyn FnMut()>,
 }
 
 impl BenchCase {
@@ -65,7 +65,7 @@ impl BenchCase {
     pub fn new<R>(
         name: impl Into<String>,
         throughput: Option<(u64, &'static str)>,
-        mut f: impl FnMut() -> R + Send + 'static,
+        mut f: impl FnMut() -> R + 'static,
     ) -> Self {
         BenchCase {
             name: name.into(),
@@ -77,23 +77,13 @@ impl BenchCase {
     }
 }
 
-/// Measures every case through the sweep engine's worker pool and appends
-/// the rows in suite order.
-///
-/// Microbenchmark timing wants an unloaded machine, so this defaults to
-/// one worker; set `LPMEM_SWEEP_THREADS` above 1 only for smoke runs
-/// where wall-clock matters more than measurement fidelity.
+/// Measures every case in suite order on the calling thread and appends
+/// the rows. Microbenchmark timing wants an unloaded machine, so the cases
+/// never share it with each other.
 pub fn run_cases(table: &mut Table, opts: &Options, cases: Vec<BenchCase>) {
-    let workers = match std::env::var("LPMEM_SWEEP_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().map_or(1, |n| n.max(1)),
-        Err(_) => 1,
-    };
-    let rows = crate::sweep::parallel_map(cases, workers, |mut case| {
+    for mut case in cases {
         let m = benchmark(&case.name, opts, &mut case.run);
-        measurement_row(&m, case.throughput)
-    });
-    for row in rows {
-        table.push_row(row);
+        table.push_row(measurement_row(&m, case.throughput));
     }
 }
 

@@ -136,7 +136,7 @@ fn run(mut args: Args) -> Result<(), String> {
 
     let strategy = parse_strategy(&strategy_name, &space, budget)
         .ok_or("--strategy must be exhaustive, evolutionary, or auto")?;
-    let workers = threads.unwrap_or_else(worker_count);
+    let workers = threads.map_or_else(worker_count, Ok)?;
     // Seed the search with the sweep grid's embeddings so the frontier
     // provably covers the configurations the experiments already run.
     let seeds: Vec<DesignPoint> = [VariantSpec::default(), VariantSpec::tight()]

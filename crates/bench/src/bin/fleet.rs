@@ -135,7 +135,7 @@ fn run(mut args: Args) -> Result<(), String> {
         }
     }
 
-    let report = run_fleet(&spec, threads.unwrap_or_else(worker_count))?;
+    let report = run_fleet(&spec, threads.map_or_else(worker_count, Ok)?)?;
 
     println!(
         "== fleet: {} devices x {} events, mix {}, {} workers ==",

@@ -89,7 +89,7 @@ fn run(mut args: Args) -> Result<(), String> {
     }
     grid.validate()?;
 
-    let workers = threads.unwrap_or_else(worker_count);
+    let workers = threads.map_or_else(worker_count, Ok)?;
     println!(
         "sweep: {} tasks ({} flows x {} kernels x {} techs x {} variants x {} faults x {} cmp), {} workers{}",
         grid.len(),

@@ -703,17 +703,6 @@ pub fn sys() -> Table {
     table
 }
 
-/// All experiments in `DESIGN.md` order, fanned across the sweep
-/// engine's worker pool (each experiment is deterministic, so parallel
-/// execution changes only the wall-clock, never a table).
-pub fn all() -> Vec<Table> {
-    let tables = crate::sweep::parallel_map(ALL_IDS.to_vec(), crate::sweep::worker_count(), |id| {
-        by_id(id).expect("ALL_IDS entries are known")
-    });
-    debug_assert_eq!(tables.len(), ALL_IDS.len());
-    tables
-}
-
 /// Looks up one experiment by id (case-insensitive).
 pub fn by_id(id: &str) -> Option<Table> {
     match id.to_ascii_lowercase().as_str() {

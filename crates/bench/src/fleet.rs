@@ -611,7 +611,7 @@ impl FleetReport {
     }
 }
 
-/// Runs the fleet: shards fan out over the work-stealing pool, shard
+/// Runs the fleet: shards fan out over the worker pool, shard
 /// aggregates merge into one report. The JSONL body is independent of
 /// `workers`.
 ///

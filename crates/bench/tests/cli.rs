@@ -93,6 +93,39 @@ fn threads_must_be_a_positive_integer_everywhere() {
 }
 
 #[test]
+fn the_threads_variable_must_be_a_worker_count() {
+    let runs = [
+        (
+            SWEEP,
+            "--quick --flows system --kernels fir --techs t180 --variants default",
+        ),
+        (EXPLORE, "--axes small --strategy exhaustive --budget 2"),
+        (FLEET, "--devices 16 --events 64"),
+    ];
+    for (bin, args) in runs {
+        let with_env = |value: &str, extra: &[&str]| {
+            Command::new(bin)
+                .args(args.split(' ').chain(extra.iter().copied()))
+                .env_remove("LPMEM_BENCH_QUICK")
+                .env("LPMEM_SWEEP_THREADS", value)
+                .output()
+                .expect("the binary runs")
+        };
+        for bad in ["abc", "-1", "2x"] {
+            let out = with_env(bad, &[]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {bad}: {stderr}");
+            assert!(stderr.contains("LPMEM_SWEEP_THREADS"), "{bin}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+        }
+        // `0` clamps to one worker; `--threads` wins without reading it.
+        let out = with_env("0", &[]);
+        assert!(stdout(&out).contains(" 1 workers"), "{bin}: {out:?}");
+        assert!(with_env("abc", &["--threads", "1"]).status.success());
+    }
+}
+
+#[test]
 fn empty_and_unknown_list_elements_are_usage_errors() {
     assert_usage_error(ISA, &["--quick", "--kernels", ",", "--check-speedup", "5"]);
     assert_usage_error(SWEEP, &["--kernels", "fir,nope", "--list"]);

@@ -1,6 +1,6 @@
 //! The 1B.3 flow: application-specific instruction-bus encoding.
 
-use lpmem_buscode::{transitions, BusInvert, RegionEncoder};
+use lpmem_buscode::{BusInvert, RegionEncoder};
 use lpmem_energy::{BusModel, Energy, Technology};
 use lpmem_trace::{AccessKind, Trace};
 
@@ -110,12 +110,6 @@ pub fn run_buscoding(
         raw_energy: bus.energy_of(report.raw_transitions),
         encoded_energy: bus.energy_of(report.encoded_transitions),
     })
-}
-
-/// Sanity helper: transitions of an arbitrary word stream (re-exported for
-/// harness use).
-pub fn stream_transitions(words: &[u32]) -> u64 {
-    transitions(words.iter().copied())
 }
 
 #[cfg(test)]

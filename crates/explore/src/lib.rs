@@ -19,7 +19,7 @@
 //!   [`Objectives`];
 //! * [`Exhaustive`] and [`Evolutionary`] — two [`SearchStrategy`]
 //!   implementations fanning candidate evaluation across the
-//!   [`lpmem_util::pool`] work-stealing pool, with every random draw
+//!   [`lpmem_util::pool`] worker pool, with every random draw
 //!   seeded by logical coordinates so frontiers are **byte-identical at
 //!   any worker count**;
 //! * [`Frontier`] — non-dominated archive with NSGA-II helpers

@@ -4,7 +4,7 @@
 //! Determinism contract: the set of evaluated points — and therefore the
 //! archive frontier — depends only on `(space, workload, SearchConfig)`,
 //! never on thread scheduling. Candidate batches are fixed *before* they
-//! are fanned across the work-stealing pool; every random draw comes from
+//! are fanned across the worker pool; every random draw comes from
 //! an [`Rng`] seeded by [`SplitMix64::derive`] on logical coordinates
 //! (generation, offspring index), not on execution order. Frontier dumps
 //! are byte-identical at any `workers` count.

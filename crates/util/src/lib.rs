@@ -12,7 +12,7 @@
 //!   reporting on panic so any violation is reproducible.
 //! * [`bench`] — a std-only timing harness replacing `criterion`:
 //!   warmup + median-of-N sampling, runnable as a normal binary.
-//! * [`pool`] — a work-stealing thread pool whose
+//! * [`pool`] — a shared-cursor thread pool over a fixed task list whose
 //!   [`parallel_map`](pool::parallel_map) preserves input order at any
 //!   worker count (the substrate of every byte-identical parallel report).
 //! * [`json`] — a deterministic JSON-object serializer for the
@@ -35,8 +35,6 @@ pub mod prop;
 pub mod rng;
 
 pub use json::JsonObject;
-pub use pool::{
-    parallel_map, parallel_map_with, parallel_map_workers, try_parallel_map, TaskPanic,
-};
+pub use pool::{parallel_map, parallel_map_with, try_parallel_map_with, TaskPanic};
 pub use prop::Props;
 pub use rng::{Rng, SplitMix64};
