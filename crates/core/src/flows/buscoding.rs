@@ -82,19 +82,38 @@ pub fn codec_gate_energy(bus: &BusModel, raw_transitions: u64, encoded_transitio
     Energy::from_pj(gate_pj * (raw_transitions + encoded_transitions) as f64)
 }
 
+/// Checks a bus-encoder region count before any flow trains on it: from
+/// one region to [`RegionEncoder::MAX_REGIONS`].
+///
+/// # Errors
+///
+/// Returns [`FlowError::InvalidSpec`] for any other count.
+pub fn check_regions(regions: usize) -> Result<(), FlowError> {
+    if (1..=RegionEncoder::MAX_REGIONS).contains(&regions) {
+        Ok(())
+    } else {
+        Err(FlowError::InvalidSpec(format!(
+            "bus-encoder regions must be 1 to {}, got {regions}",
+            RegionEncoder::MAX_REGIONS
+        )))
+    }
+}
+
 /// Trains a [`RegionEncoder`] on a trace's fetch stream and evaluates it
 /// against the raw bus and the bus-invert baseline.
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::EmptyInput`] when the trace has no instruction
-/// fetches.
+/// Returns [`FlowError::InvalidSpec`] for a region count
+/// [`check_regions`] rejects and [`FlowError::EmptyInput`] when the trace
+/// has no instruction fetches.
 pub fn run_buscoding(
     name: &str,
     trace: &Trace,
     num_regions: usize,
     tech: &Technology,
 ) -> Result<BusCodingOutcome, FlowError> {
+    check_regions(num_regions)?;
     let stream = fetch_stream(trace)?;
     let encoder = RegionEncoder::train(&stream, num_regions);
     let report = encoder.evaluate(&stream);
@@ -143,6 +162,21 @@ mod tests {
             out.encoded_transitions,
             out.businvert_transitions
         );
+    }
+
+    #[test]
+    fn region_counts_outside_the_encoder_range_are_rejected() {
+        let run = Kernel::Fir.run(8, 1).unwrap();
+        let tech = Technology::tech180();
+        for regions in [0, RegionEncoder::MAX_REGIONS + 1, 100_000_000] {
+            assert!(matches!(
+                run_buscoding("fir", &run.trace, regions, &tech).unwrap_err(),
+                FlowError::InvalidSpec(_)
+            ));
+        }
+        for regions in [1, RegionEncoder::MAX_REGIONS] {
+            assert!(run_buscoding("fir", &run.trace, regions, &tech).is_ok());
+        }
     }
 
     #[test]

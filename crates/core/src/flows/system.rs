@@ -16,7 +16,7 @@ use lpmem_isa::Kernel;
 use lpmem_mem::FlatMemory;
 use lpmem_trace::Trace;
 
-use crate::flows::buscoding::{codec_gate_energy, fetch_stream};
+use crate::flows::buscoding::{check_regions, codec_gate_energy, fetch_stream};
 use crate::flows::compression::{run_compression_trace, CompressionConfig, PlatformKind};
 use crate::workloads::kernel_trace_and_image;
 use crate::FlowError;
@@ -88,8 +88,10 @@ pub fn run_system(
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::EmptyInput`] when the trace has no instruction
-/// fetches or no data accesses, and propagates cache errors.
+/// Returns [`FlowError::InvalidSpec`] for a region count
+/// [`check_regions`] rejects, [`FlowError::EmptyInput`] when the trace has
+/// no instruction fetches or no data accesses, and propagates cache
+/// errors.
 pub fn run_system_trace(
     name: &str,
     trace: &Trace,
@@ -99,6 +101,7 @@ pub fn run_system_trace(
     regions: usize,
     tech: &Technology,
 ) -> Result<SystemOutcome, FlowError> {
+    check_regions(regions)?;
     // Data side: the compression flow produces both baseline and optimized
     // D-cache + off-chip numbers.
     let cfg = CompressionConfig::for_platform(platform);
@@ -173,5 +176,20 @@ mod tests {
                 + out.optimized.component("offchip.writeback"));
         assert!(ibus_saved > Energy::ZERO);
         assert!(off_saved > Energy::ZERO);
+    }
+
+    #[test]
+    fn region_counts_outside_the_encoder_range_are_rejected() {
+        for regions in [0, RegionEncoder::MAX_REGIONS + 1] {
+            let err = run_system(
+                Kernel::Fir,
+                8,
+                1,
+                PlatformKind::VliwLike,
+                &DiffCodec::new(),
+                regions,
+            );
+            assert!(matches!(err, Err(FlowError::InvalidSpec(_))), "{regions}");
+        }
     }
 }
