@@ -159,3 +159,84 @@ fn dse1_no_frontier_point_is_dominated_by_the_sweep_grid() {
         }
     }
 }
+
+/// The evolutionary frontier on the full space at the harness seed, at a
+/// budget where proposals keep colliding with points already seen, so
+/// the search leans on its enumeration-order fallback: this search took
+/// the fallback 1,084 times when the frontier was pinned. Any change to
+/// the set of points the search evaluates shows up here.
+///
+/// Regenerate after an intentional change with `LPMEM_GOLDEN_PRINT=1
+/// cargo test -p lpmem-bench --test explore -- --nocapture`.
+const FULL_FRONTIER: &[&str] = &[
+    "{\"key\":\"b16-k1024-c2048x32x2-diff-xor8-l0512\",\"banks\":16,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":195680190.6636811,\"area_mm2\":3.2013531245242377,\"cycles\":4206}",
+    "{\"key\":\"b2-k1024-c2048x32x2-diff-xor8-l0512\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":195681296.1036811,\"area_mm2\":3.1876565136778887,\"cycles\":4206}",
+    "{\"key\":\"b2-k1024-c2048x32x2-diff-xor1-l0512\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor1\",\"l0\":512,\"energy_pj\":195684308.3446411,\"area_mm2\":3.1800965136778885,\"cycles\":4206}",
+    "{\"key\":\"b2-k1024-c2048x16x2-off-xor8-l0512\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"off\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":195696278.5036811,\"area_mm2\":3.1741565136778886,\"cycles\":4266}",
+    "{\"key\":\"b2-k1024-c2048x16x2-off-xor1-l0512\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"off\",\"bus\":\"xor1\",\"l0\":512,\"energy_pj\":195699290.7446411,\"area_mm2\":3.1665965136778884,\"cycles\":4266}",
+    "{\"key\":\"b2-k1024-c2048x32x2-diff-raw-l0512\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"raw\",\"l0\":512,\"energy_pj\":195705274.2809611,\"area_mm2\":3.1790165136778885,\"cycles\":4206}",
+    "{\"key\":\"b2-k1024-c2048x16x2-off-raw-l0512\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"off\",\"bus\":\"raw\",\"l0\":512,\"energy_pj\":195720256.6809611,\"area_mm2\":3.1655165136778884,\"cycles\":4266}",
+    "{\"key\":\"b2-k1024-c2048x32x2-diff-xor8-l0256\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":256,\"energy_pj\":207024087.98506558,\"area_mm2\":3.178065610357807,\"cycles\":4206}",
+    "{\"key\":\"b2-k1024-c2048x32x2-diff-xor1-l0256\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor1\",\"l0\":256,\"energy_pj\":207027100.22602558,\"area_mm2\":3.170505610357807,\"cycles\":4206}",
+    "{\"key\":\"b2-k1024-c2048x16x2-off-xor8-l0256\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"off\",\"bus\":\"xor8\",\"l0\":256,\"energy_pj\":207039070.3850656,\"area_mm2\":3.164565610357807,\"cycles\":4266}",
+    "{\"key\":\"b2-k1024-c2048x16x2-off-xor1-l0256\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"off\",\"bus\":\"xor1\",\"l0\":256,\"energy_pj\":207042082.6260256,\"area_mm2\":3.157005610357807,\"cycles\":4266}",
+    "{\"key\":\"b2-k1024-c2048x32x2-diff-raw-l0256\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"raw\",\"l0\":256,\"energy_pj\":207048066.1623456,\"area_mm2\":3.169425610357807,\"cycles\":4206}",
+    "{\"key\":\"b2-k1024-c2048x16x2-off-raw-l0256\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"off\",\"bus\":\"raw\",\"l0\":256,\"energy_pj\":207063048.5623456,\"area_mm2\":3.155925610357807,\"cycles\":4266}",
+];
+
+#[test]
+fn evolutionary_frontier_is_pinned_where_the_fallback_fires() {
+    let space = DesignSpace::full();
+    let evaluator = Evaluator::new(tiny_workload()).expect("workload runs");
+    let cfg = SearchConfig {
+        budget: 2048,
+        workers: 2,
+        seeds: grid_embeddings(),
+        ..Default::default()
+    };
+    let out = Evolutionary::default()
+        .search(&space, &evaluator, &cfg)
+        .expect("search runs");
+    assert_eq!(out.evaluated, 2048);
+    let jsonl = out.frontier.to_jsonl();
+    if std::env::var_os("LPMEM_GOLDEN_PRINT").is_some() {
+        for line in jsonl.lines() {
+            println!("    {line:?},");
+        }
+        return;
+    }
+    let lines: Vec<&str> = jsonl.lines().collect();
+    assert_eq!(
+        lines, FULL_FRONTIER,
+        "full-space evolutionary frontier drifted"
+    );
+}
+
+#[test]
+fn evolutionary_frontier_is_worker_independent_on_the_full_and_cmp_spaces() {
+    for (space, budget) in [(DesignSpace::full(), 512), (DesignSpace::cmp(), 64)] {
+        // A fresh evaluator per worker count, so every run evaluates cold.
+        let run = |workers: usize| {
+            let evaluator = Evaluator::new(tiny_workload()).expect("workload runs");
+            let cfg = SearchConfig {
+                budget,
+                seed: 7,
+                workers,
+                seeds: grid_embeddings(),
+            };
+            Evolutionary::default()
+                .search(&space, &evaluator, &cfg)
+                .expect("search runs")
+        };
+        let single = run(1);
+        let double = run(2);
+        assert_eq!(single.evaluated, budget);
+        assert_eq!(single.evaluated, double.evaluated);
+        assert_eq!(
+            single.frontier.to_jsonl(),
+            double.frontier.to_jsonl(),
+            "evolutionary frontier diverged at 2 workers on a {}-point space",
+            space.len()
+        );
+    }
+}
