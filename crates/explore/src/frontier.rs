@@ -37,6 +37,8 @@ impl Frontier {
     /// archive holds one entry per Pareto-optimal objective vector and
     /// its contents never depend on insertion order.
     pub fn insert(&mut self, eval: Evaluation) -> bool {
+        // The new point's key is formatted once; a member's only where its
+        // objectives tie with the new point's.
         let key = eval.point.key();
         if self.points.iter().any(|p| {
             p.objectives.dominates(&eval.objectives)
@@ -49,7 +51,7 @@ impl Frontier {
         });
         let at = self
             .points
-            .binary_search_by(|p| order(&p.objectives, &p.point.key(), &eval.objectives, &key))
+            .binary_search_by(|p| order(p, &eval, &key))
             .unwrap_or_else(|i| i);
         self.points.insert(at, eval);
         true
@@ -129,13 +131,16 @@ impl Frontier {
 
 /// The frontier's total order: objectives lexicographically, key as the
 /// final tie-break (total over distinct points, since keys are unique).
-fn order(a: &Objectives, a_key: &str, b: &Objectives, b_key: &str) -> Ordering {
-    a.energy_pj
-        .total_cmp(&b.energy_pj)
-        .then_with(|| a.area_mm2.total_cmp(&b.area_mm2))
-        .then_with(|| a.cycles.cmp(&b.cycles))
-        .then_with(|| a.silent.cmp(&b.silent))
-        .then_with(|| a_key.cmp(b_key))
+/// `b_key` is `b`'s key, formatted once by the caller; `a`'s key is
+/// formatted only when the objectives tie.
+fn order(a: &Evaluation, b: &Evaluation, b_key: &str) -> Ordering {
+    let (x, y) = (&a.objectives, &b.objectives);
+    x.energy_pj
+        .total_cmp(&y.energy_pj)
+        .then_with(|| x.area_mm2.total_cmp(&y.area_mm2))
+        .then_with(|| x.cycles.cmp(&y.cycles))
+        .then_with(|| x.silent.cmp(&y.silent))
+        .then_with(|| a.point.key().as_str().cmp(b_key))
 }
 
 /// Assigns each objective vector its non-dominated front rank (0 = the

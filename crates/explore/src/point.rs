@@ -420,6 +420,27 @@ impl DesignSpace {
         }
     }
 
+    /// The mixed-radix index of `point` in enumeration order, the inverse
+    /// of [`DesignSpace::point_at`]; `None` when any axis value of `point`
+    /// is not on its axis. On a validated space (no duplicate axis
+    /// values) two points share an index exactly when they are equal.
+    pub fn index_of(&self, point: &DesignPoint) -> Option<usize> {
+        fn digit<T: PartialEq>(axis: &[T], value: &T) -> Option<(usize, usize)> {
+            Some((axis.iter().position(|v| v == value)?, axis.len()))
+        }
+        // Slowest-varying axis first: the nesting `point_at` unwinds.
+        let digits = [
+            digit(&self.cmps, &point.cmp)?,
+            digit(&self.banks, &point.banks)?,
+            digit(&self.blocks, &point.block)?,
+            digit(&self.caches, &point.cache)?,
+            digit(&self.codecs, &point.codec)?,
+            digit(&self.buses, &point.bus)?,
+            digit(&self.l0s, &point.l0)?,
+        ];
+        Some(digits.iter().fold(0, |idx, &(d, len)| idx * len + d))
+    }
+
     /// Iterates every point in enumeration order.
     pub fn enumerate(&self) -> impl Iterator<Item = DesignPoint> + '_ {
         (0..self.len()).map(|i| self.point_at(i))
@@ -437,8 +458,13 @@ impl DesignSpace {
             && self.cmps.contains(&point.cmp)
     }
 
-    /// Checks that the space is non-empty and every point it can produce
-    /// is structurally valid (it suffices to check each axis value once).
+    /// Checks that the space is non-empty, that no axis lists a value
+    /// twice, and that every point it can produce is structurally valid
+    /// (it suffices to check each axis value once).
+    ///
+    /// A repeated value would make [`DesignSpace::len`] count one point
+    /// twice and [`DesignSpace::index_of`] disagree with
+    /// [`DesignSpace::point_at`].
     ///
     /// # Errors
     ///
@@ -447,6 +473,19 @@ impl DesignSpace {
         if self.is_empty() {
             return Err("design space has an empty axis".to_owned());
         }
+        fn repeated<T: PartialEq + fmt::Debug>(name: &str, axis: &[T]) -> Result<(), String> {
+            match (1..axis.len()).find(|&i| axis[..i].contains(&axis[i])) {
+                Some(i) => Err(format!("{name} axis lists {:?} twice", axis[i])),
+                None => Ok(()),
+            }
+        }
+        repeated("bank", &self.banks)?;
+        repeated("block", &self.blocks)?;
+        repeated("cache", &self.caches)?;
+        repeated("codec", &self.codecs)?;
+        repeated("bus", &self.buses)?;
+        repeated("l0", &self.l0s)?;
+        repeated("cmp", &self.cmps)?;
         // One representative point per axis value covers all constraints,
         // since validity is per-axis.
         let base = self.point_at(0);
@@ -579,11 +618,110 @@ mod tests {
 
     #[test]
     fn keys_are_stable_and_distinct() {
+        for space in [DesignSpace::small(), DesignSpace::full()] {
+            let keys: std::collections::HashSet<String> =
+                space.enumerate().map(|p| p.key()).collect();
+            assert_eq!(keys.len(), space.len(), "keys must be unique");
+        }
         let space = DesignSpace::small();
-        let keys: std::collections::BTreeSet<String> = space.enumerate().map(|p| p.key()).collect();
-        assert_eq!(keys.len(), space.len(), "keys must be unique");
         let p = space.point_at(0);
         assert_eq!(p.key(), space.point_at(0).key(), "keys must be stable");
+        // A CMP point's key is its base key plus the scenario label, so
+        // distinct labels keep keys unique over the whole CMP space.
+        let labels: std::collections::HashSet<String> = DesignSpace::cmp()
+            .cmps
+            .iter()
+            .flatten()
+            .map(CmpSpec::label)
+            .collect();
+        assert_eq!(labels.len(), DesignSpace::cmp().cmps.len() - 1);
+    }
+
+    #[test]
+    fn index_of_inverts_point_at() {
+        for space in [DesignSpace::small(), DesignSpace::full()] {
+            for i in 0..space.len() {
+                assert_eq!(space.index_of(&space.point_at(i)), Some(i));
+            }
+        }
+        let cmp = DesignSpace::cmp();
+        let mut rng = Rng::seed_from_u64(29);
+        for i in [0, 1, 20_735, 20_736, cmp.len() - 1] {
+            assert_eq!(cmp.index_of(&cmp.point_at(i)), Some(i));
+        }
+        for _ in 0..4096 {
+            let i = rng.bounded_u64(cmp.len() as u64) as usize;
+            assert_eq!(cmp.index_of(&cmp.point_at(i)), Some(i));
+            let p = cmp.sample(&mut rng);
+            assert_eq!(cmp.point_at(cmp.index_of(&p).expect("on the axes")), p);
+        }
+    }
+
+    #[test]
+    fn index_of_rejects_off_axis_points() {
+        let space = DesignSpace::small();
+        let p = space.point_at(5);
+        let off_axis = [
+            DesignPoint {
+                banks: 64,
+                ..p.clone()
+            },
+            DesignPoint {
+                block: 4096,
+                ..p.clone()
+            },
+            DesignPoint {
+                cache: CacheGeom {
+                    size: 8 << 10,
+                    line: 64,
+                    ways: 2,
+                },
+                ..p.clone()
+            },
+            DesignPoint {
+                codec: CodecChoice::Fpc,
+                ..p.clone()
+            },
+            DesignPoint {
+                bus: BusChoice::Gray,
+                ..p.clone()
+            },
+            DesignPoint {
+                l0: 256,
+                ..p.clone()
+            },
+            DesignPoint {
+                cmp: Some(CmpSpec::quad()),
+                ..p.clone()
+            },
+        ];
+        for q in &off_axis {
+            assert!(!space.contains(q));
+            assert_eq!(space.index_of(q), None, "{}", q.key());
+        }
+        // The widened CMP space holds every single-core point at its
+        // pre-CMP index.
+        let full = DesignSpace::full();
+        let cmp = DesignSpace::cmp();
+        let q = full.point_at(777);
+        assert_eq!(cmp.index_of(&q), Some(777));
+        assert_eq!(full.index_of(&cmp.point_at(full.len())), None);
+    }
+
+    #[test]
+    fn repeated_axis_values_are_rejected() {
+        let mut space = DesignSpace::small();
+        space.validate().unwrap();
+        space.l0s.push(space.l0s[0]);
+        let err = space.validate().unwrap_err();
+        assert!(err.contains("l0 axis"), "{err}");
+        let mut space = DesignSpace::cmp();
+        space.cmps.push(space.cmps[1].clone());
+        let err = space.validate().unwrap_err();
+        assert!(err.contains("cmp axis"), "{err}");
+        let mut space = DesignSpace::full();
+        space.buses.insert(1, BusChoice::Xor(8));
+        assert!(space.validate().unwrap_err().contains("bus axis"));
     }
 
     #[test]
