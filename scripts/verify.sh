@@ -23,6 +23,26 @@ cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
     --axes small --strategy exhaustive --budget 32 --seed 2003 \
     --threads 2 --jsonl /dev/null
 
+echo "==> explore smoke: evolutionary worker byte-identity on full and cmp (DESIGN.md §8)"
+# Frontier JSONL must be byte-identical at any worker count. The full-space
+# search at budget 8192 takes most of its offspring from the
+# enumeration-order fallback; with O(budget) bookkeeping it runs in well
+# under a second.
+cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
+    --axes full --strategy evolutionary --budget 8192 --seed 3 \
+    --threads 1 --jsonl target/explore_full_t1.jsonl
+cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
+    --axes full --strategy evolutionary --budget 8192 --seed 3 \
+    --threads 2 --jsonl target/explore_full_t2.jsonl
+cmp target/explore_full_t1.jsonl target/explore_full_t2.jsonl
+cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
+    --axes cmp --strategy evolutionary --budget 256 --seed 7 \
+    --threads 1 --jsonl target/explore_cmp_t1.jsonl
+cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
+    --axes cmp --strategy evolutionary --budget 256 --seed 7 \
+    --threads 2 --jsonl target/explore_cmp_t2.jsonl
+cmp target/explore_cmp_t1.jsonl target/explore_cmp_t2.jsonl
+
 echo "==> isa backend differential smoke + speedup gate (DESIGN.md §10)"
 # Byte-identical traces on every kernel is a hard gate; the >=5x speedup
 # check self-skips on single-CPU machines (or LPMEM_SKIP_TIMING_GATE=1),
