@@ -13,9 +13,8 @@
 //! compression, a t180+t90 technology split under a 600 µW budget) at a
 //! given core and bank count, reports the scenario's deterministic
 //! outcome counters, and times the full flow. The counters are a pure
-//! function of the spec — only the timings vary run to run.
-//! `LPMEM_BENCH_QUICK=1` implies `--quick` (`-q`). `--json -` writes to
-//! stdout; usage errors and a failing cell exit 2.
+//! function of the spec — only the timings vary run to run. `--json -`
+//! writes to stdout; usage errors and a failing cell exit 2.
 
 use std::process::ExitCode;
 
@@ -84,7 +83,7 @@ fn main() -> ExitCode {
 }
 
 fn run(mut args: Args) -> Result<(), String> {
-    let mut quick = std::env::var_os("LPMEM_BENCH_QUICK").is_some();
+    let mut quick = false;
     let mut json_path = "BENCH_cmp.json".to_owned();
     let mut seed = 2003u64;
 

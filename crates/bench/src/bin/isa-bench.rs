@@ -12,11 +12,10 @@
 //! Every invocation first runs the **differential smoke**: each kernel
 //! executes on both backends and the run is rejected unless the traces
 //! are byte-identical (and steps/registers agree) — only then is anything
-//! timed. `LPMEM_BENCH_QUICK=1` implies `--quick`. The `--check-speedup`
-//! gate is skipped on single-CPU machines (or when
-//! `LPMEM_SKIP_TIMING_GATE=1`), where wall-clock ratios are unreliable.
-//! A geomean that is not finite fails it. `--json -` writes to stdout;
-//! usage errors, a diverging backend and a failed gate exit 2.
+//! timed. The `--check-speedup` gate is skipped on single-CPU machines
+//! (or when `LPMEM_SKIP_TIMING_GATE=1`), where wall-clock ratios are
+//! unreliable. A geomean that is not finite fails it. `--json -` writes to
+//! stdout; usage errors, a diverging backend and a failed gate exit 2.
 
 use std::process::ExitCode;
 
@@ -124,7 +123,7 @@ fn main() -> ExitCode {
 }
 
 fn run(mut args: Args) -> Result<(), String> {
-    let mut quick = std::env::var_os("LPMEM_BENCH_QUICK").is_some();
+    let mut quick = false;
     let mut json_path = String::from("BENCH_isa.json");
     let mut min_speedup: Option<f64> = None;
     let mut seed: u64 = 2003;

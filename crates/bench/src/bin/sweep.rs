@@ -17,9 +17,8 @@
 //! flags take non-empty comma lists, in any order: `--kernels` keeps the
 //! default grid's scales with or without `--quick`. Worker count comes from
 //! `--threads` (positive), else `LPMEM_SWEEP_THREADS`, else all CPUs.
-//! `LPMEM_BENCH_QUICK=1` implies `--quick`. The JSON-lines report is
-//! byte-identical for a given grid at any worker count. Usage errors exit
-//! 2; failed tasks exit 1.
+//! The JSON-lines report is byte-identical for a given grid at any worker
+//! count. Usage errors exit 2; failed tasks exit 1.
 
 use std::process::ExitCode;
 
@@ -33,7 +32,7 @@ fn main() -> ExitCode {
 }
 
 fn run(mut args: Args) -> Result<(), String> {
-    let mut quick = std::env::var_os("LPMEM_BENCH_QUICK").is_some();
+    let mut quick = false;
     let mut threads: Option<usize> = None;
     let mut jsonl_path: Option<String> = None;
     let mut list = false;

@@ -2,11 +2,10 @@
 //! evaluations (see `DESIGN.md` §2 for the experiment index).
 //!
 //! Every experiment returns a [`Table`] whose `Display` rendering is what
-//! the `repro` binary prints and what `EXPERIMENTS.md` records. The same
-//! functions back the std-only benches, so "the benchmark suite" and "the
-//! reproduction harness" cannot drift apart.
+//! the `repro` binary prints and what `EXPERIMENTS.md` records. Timings
+//! of the flows behind them are lpbench's per-layer metrics (`lpbench/`),
+//! which call the same flow functions.
 
-pub mod benchrun;
 pub mod cli;
 pub mod experiments;
 pub mod fleet;

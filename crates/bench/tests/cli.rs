@@ -27,7 +27,6 @@ const BINS: [(&str, &[&str]); 7] = [
 fn run<S: Into<OsString> + Clone>(bin: &str, args: &[S]) -> Output {
     Command::new(bin)
         .args(args.iter().cloned().map(Into::into))
-        .env_remove("LPMEM_BENCH_QUICK")
         .output()
         .expect("the binary runs")
 }
@@ -106,7 +105,6 @@ fn the_threads_variable_must_be_a_worker_count() {
         let with_env = |value: &str, extra: &[&str]| {
             Command::new(bin)
                 .args(args.split(' ').chain(extra.iter().copied()))
-                .env_remove("LPMEM_BENCH_QUICK")
                 .env("LPMEM_SWEEP_THREADS", value)
                 .output()
                 .expect("the binary runs")

@@ -5,6 +5,7 @@
 //! grid already runs (DSE-1).
 
 use lpmem_bench::sweep::SweepGrid;
+use lpmem_core::flows::FaultSpec;
 use lpmem_explore::{
     DesignPoint, DesignSpace, Evaluator, Evolutionary, Exhaustive, SearchConfig, SearchStrategy,
     Workload,
@@ -214,10 +215,17 @@ fn evolutionary_frontier_is_pinned_where_the_fallback_fires() {
 
 #[test]
 fn evolutionary_frontier_is_worker_independent_on_the_full_and_cmp_spaces() {
-    for (space, budget) in [(DesignSpace::full(), 512), (DesignSpace::cmp(), 64)] {
-        // A fresh evaluator per worker count, so every run evaluates cold.
+    let secded = FaultSpec::parse("secded").expect("secded parses");
+    for (space, budget, fault) in [
+        (DesignSpace::full(), 512, FaultSpec::off()),
+        (DesignSpace::cmp(), 64, FaultSpec::off()),
+        (DesignSpace::full(), 512, secded),
+    ] {
+        // A fresh evaluator per worker count, so every run evaluates cold
+        // and at 2 workers the memo tables (the fault table too, under
+        // secded) fill from both workers at once.
         let run = |workers: usize| {
-            let evaluator = Evaluator::new(tiny_workload()).expect("workload runs");
+            let evaluator = Evaluator::with_faults(tiny_workload(), fault).expect("workload runs");
             let cfg = SearchConfig {
                 budget,
                 seed: 7,
@@ -232,11 +240,14 @@ fn evolutionary_frontier_is_worker_independent_on_the_full_and_cmp_spaces() {
         let double = run(2);
         assert_eq!(single.evaluated, budget);
         assert_eq!(single.evaluated, double.evaluated);
+        let jsonl = single.frontier.to_jsonl();
+        assert_eq!(jsonl.contains("\"silent\":"), fault.enabled());
         assert_eq!(
-            single.frontier.to_jsonl(),
+            jsonl,
             double.frontier.to_jsonl(),
-            "evolutionary frontier diverged at 2 workers on a {}-point space",
-            space.len()
+            "evolutionary frontier diverged at 2 workers on a {}-point space, faults {}",
+            space.len(),
+            fault.label()
         );
     }
 }

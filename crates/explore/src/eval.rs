@@ -7,14 +7,14 @@
 //! memoization only avoids recomputing a sub-flow two points share — the
 //! cached value is the value every thread would have computed.
 //!
-//! Memoization is **sharded per worker**: each search worker carries its
-//! own [`MemoShard`] and evaluates through
-//! [`Evaluator::evaluate_in`], so the hot path never takes a lock. A
-//! shared base shard (one mutex, consulted briefly on shard misses,
-//! extended by [`Evaluator::absorb`] between batches) carries hits across
-//! batches and generations. Because every cached value is a pure function
-//! of its key, the merge order of shards is unobservable — results stay
-//! byte-identical at any worker count.
+//! Memoization is one table per sub-flow behind one mutex, shared by
+//! every worker. A sub-flow key is looked up under the lock; a missing
+//! value is computed with the lock released and inserted afterwards. Two
+//! workers may compute the same missing key, but every cached value is a
+//! pure function of its key, so either insert stores the same value and
+//! results stay byte-identical at any worker count. The lock never spans
+//! a sub-flow: a cold CMP evaluation runs for milliseconds and would
+//! serialize the workers.
 //!
 //! The modeled platform is a scratchpad-plus-cached-heap embedded SoC: the
 //! partitioned/clustered scratchpad (1B.1) and the compressed write-back
@@ -26,6 +26,7 @@
 //! macro, codec and encoder gates, and the L0/L1 macros.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Mutex;
 
 use lpmem_buscode::addrbus::gray_encode;
@@ -171,16 +172,14 @@ struct CmpEval {
     reliability: Option<ReliabilityReport>,
 }
 
-/// One worker's private memo table of sub-flow results.
-///
-/// Every cached value is a pure function of its key (the evaluator's
-/// workload and fault axis are fixed), so shards computed by different
-/// workers always agree on shared keys and can be merged in any order.
+/// The evaluator's sub-flow results, one table per sub-flow. Every value
+/// is a pure function of its key: the workload and fault axis are fixed
+/// per evaluator.
 #[derive(Default)]
-pub struct MemoShard {
+struct Memo {
     part: HashMap<(usize, u64), PartEval>,
     comp: HashMap<(CacheGeom, CodecChoice), CompEval>,
-    bus: HashMap<String, f64>,
+    bus: HashMap<BusChoice, f64>,
     sched: HashMap<u64, f64>,
     fault: HashMap<(usize, u64), FaultEval>,
     cmp: HashMap<(CmpSpec, CacheGeom), CmpEval>,
@@ -196,7 +195,7 @@ pub struct Evaluator {
     fetch_stream: Vec<(u64, u32)>,
     data_accesses: u64,
     app: AppSpec,
-    base: Mutex<MemoShard>,
+    memo: Mutex<Memo>,
 }
 
 impl Evaluator {
@@ -240,7 +239,7 @@ impl Evaluator {
             fetch_stream,
             data_accesses,
             app,
-            base: Mutex::new(MemoShard::default()),
+            memo: Mutex::new(Memo::default()),
         })
     }
 
@@ -255,10 +254,9 @@ impl Evaluator {
         &self.fault
     }
 
-    /// Scores one point through a throwaway shard. Pure in the point: the
-    /// same point always maps to the same objectives, whichever thread
-    /// asks first. Search loops hold a per-worker shard and call
-    /// [`Evaluator::evaluate_in`] instead.
+    /// Scores one point. Pure in the point: the same point always maps to
+    /// the same objectives, whichever thread asks first and whatever the
+    /// memo already holds.
     ///
     /// # Errors
     ///
@@ -266,27 +264,9 @@ impl Evaluator {
     /// failure). Points from a validated [`DesignSpace`]
     /// [`crate::point::DesignSpace`] never fail.
     pub fn evaluate(&self, point: &DesignPoint) -> Result<Evaluation, FlowError> {
-        let mut shard = MemoShard::default();
-        let out = self.evaluate_in(&mut shard, point);
-        self.absorb(shard);
-        out
-    }
-
-    /// Scores one point, memoizing sub-flow results into the caller's
-    /// shard (lock-free on shard hits; the shared base shard is consulted
-    /// briefly on misses).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Evaluator::evaluate`].
-    pub fn evaluate_in(
-        &self,
-        shard: &mut MemoShard,
-        point: &DesignPoint,
-    ) -> Result<Evaluation, FlowError> {
-        let part = self.partitioning(shard, point.banks, point.block)?;
-        let ibus_pj = self.ibus(shard, point.bus);
-        let sched_pj = self.scheduling(shard, point.l0)?;
+        let part = self.partitioning(point.banks, point.block)?;
+        let ibus_pj = self.ibus(point.bus)?;
+        let sched_pj = self.scheduling(point.l0)?;
 
         let sram = SramModel::new(&self.tech);
         let mut energy_pj;
@@ -300,7 +280,7 @@ impl Evaluator {
         let mut cmp_report = None;
         match &point.cmp {
             None => {
-                let comp = self.compression(shard, point.cache, point.codec)?;
+                let comp = self.compression(point.cache, point.codec)?;
                 // Summed in the pre-CMP order so zero-CMP points stay
                 // byte-identical to the pinned pre-CMP frontiers.
                 energy_pj = part.energy_pj + comp.energy_pj + ibus_pj + sched_pj;
@@ -319,7 +299,7 @@ impl Evaluator {
                 // write-back path — so the `codec` axis (write-back
                 // compression hardware) is idle here and charges nothing;
                 // in-LLC compression is the scenario's `codec` knob.
-                let cmp = self.cmp(shard, spec, point.cache)?;
+                let cmp = self.cmp(spec, point.cache)?;
                 let cores = f64::from(spec.cores);
                 energy_pj = part.energy_pj + sched_pj + (ibus_pj * cores + cmp.energy_pj);
                 area.add("dcache.macro", sram.area_mm2(point.cache.size) * cores);
@@ -340,7 +320,7 @@ impl Evaluator {
         }
 
         if self.fault.enabled() {
-            let fault = self.faults(shard, point.banks, point.block)?;
+            let fault = self.faults(point.banks, point.block)?;
             let protection = self.fault.protection;
             energy_pj += protection
                 .access_overhead(&self.tech, fault.accesses)
@@ -371,220 +351,184 @@ impl Evaluator {
         })
     }
 
-    /// Folds a worker's shard into the shared base shard so later batches
-    /// start warm. Values are pure in their keys, so overwrites on shared
-    /// keys are no-ops and merge order is unobservable.
-    pub fn absorb(&self, shard: MemoShard) {
-        let mut base = lock(&self.base);
-        base.part.extend(shard.part);
-        base.comp.extend(shard.comp);
-        base.bus.extend(shard.bus);
-        base.sched.extend(shard.sched);
-        base.fault.extend(shard.fault);
-        base.cmp.extend(shard.cmp);
-    }
-
-    fn partitioning(
+    /// The value of `key` in the memo table `table` selects, from
+    /// `compute` on a miss. The lock is held for the lookup and the insert
+    /// only, never across `compute` (see the module doc).
+    fn cached<K: Eq + Hash, V: Clone>(
         &self,
-        shard: &mut MemoShard,
-        banks: usize,
-        block: u64,
-    ) -> Result<PartEval, FlowError> {
-        let key = (banks, block);
-        if let Some(hit) = shard.part.get(&key) {
-            return Ok(hit.clone());
-        }
-        if let Some(hit) = lock(&self.base).part.get(&key).cloned() {
-            shard.part.insert(key, hit.clone());
+        table: fn(&mut Memo) -> &mut HashMap<K, V>,
+        key: K,
+        compute: impl FnOnce() -> Result<V, FlowError>,
+    ) -> Result<V, FlowError> {
+        let hit = table(&mut lock(&self.memo)).get(&key).cloned();
+        if let Some(hit) = hit {
             return Ok(hit);
         }
-        let cfg = PartitioningConfig {
-            block_size: block,
-            max_banks: banks,
-            ..Default::default()
-        };
-        let out = run_partitioning("dse", &self.trace, &cfg, &self.tech)?;
-        let eval = PartEval {
-            energy_pj: out.clustered.as_pj(),
-            area: out.area,
-        };
-        shard.part.insert(key, eval.clone());
-        Ok(eval)
+        let value = compute()?;
+        table(&mut lock(&self.memo)).insert(key, value.clone());
+        Ok(value)
     }
 
-    fn compression(
-        &self,
-        shard: &mut MemoShard,
-        cache: CacheGeom,
-        codec: CodecChoice,
-    ) -> Result<CompEval, FlowError> {
-        let key = (cache, codec);
-        if let Some(&hit) = shard.comp.get(&key) {
-            return Ok(hit);
-        }
-        if let Some(hit) = lock(&self.base).comp.get(&key).copied() {
-            shard.comp.insert(key, hit);
-            return Ok(hit);
-        }
-        let cfg = CompressionConfig {
-            cache: cache.config()?,
-            threshold: 0.75,
-            flush_at_end: true,
-        };
-        let codec_impl: Box<dyn LineCodec> = match codec {
-            CodecChoice::Off => Box::new(RawCodec::new()),
-            CodecChoice::Differential => Box::new(DiffCodec::new()),
-            CodecChoice::ZeroRun => Box::new(ZeroRunCodec::new()),
-            CodecChoice::Fpc => Box::new(FpcCodec::new()),
-        };
-        let out = run_compression_trace(
-            "dse",
-            "dse",
-            &self.trace,
-            self.image.clone(),
-            codec_impl.as_ref(),
-            &cfg,
-            &self.tech,
-        )?;
-        // With the codec off there is no compression hardware: the design
-        // pays raw traffic and no codec energy (the flow's baseline side).
-        let eval = match codec {
-            CodecChoice::Off => CompEval {
-                energy_pj: out.baseline.total().as_pj(),
-                beats: out.raw_beats,
+    fn partitioning(&self, banks: usize, block: u64) -> Result<PartEval, FlowError> {
+        self.cached(
+            |m| &mut m.part,
+            (banks, block),
+            || {
+                let cfg = PartitioningConfig {
+                    block_size: block,
+                    max_banks: banks,
+                    ..Default::default()
+                };
+                let out = run_partitioning("dse", &self.trace, &cfg, &self.tech)?;
+                Ok(PartEval {
+                    energy_pj: out.clustered.as_pj(),
+                    area: out.area,
+                })
             },
-            _ => CompEval {
-                energy_pj: out.compressed.total().as_pj(),
-                beats: out.actual_beats,
+        )
+    }
+
+    fn compression(&self, cache: CacheGeom, codec: CodecChoice) -> Result<CompEval, FlowError> {
+        self.cached(
+            |m| &mut m.comp,
+            (cache, codec),
+            || {
+                let cfg = CompressionConfig {
+                    cache: cache.config()?,
+                    threshold: 0.75,
+                    flush_at_end: true,
+                };
+                let codec_impl: Box<dyn LineCodec> = match codec {
+                    CodecChoice::Off => Box::new(RawCodec::new()),
+                    CodecChoice::Differential => Box::new(DiffCodec::new()),
+                    CodecChoice::ZeroRun => Box::new(ZeroRunCodec::new()),
+                    CodecChoice::Fpc => Box::new(FpcCodec::new()),
+                };
+                let out = run_compression_trace(
+                    "dse",
+                    "dse",
+                    &self.trace,
+                    self.image.clone(),
+                    codec_impl.as_ref(),
+                    &cfg,
+                    &self.tech,
+                )?;
+                // With the codec off there is no compression hardware: the
+                // design pays raw traffic and no codec energy (the flow's
+                // baseline side).
+                Ok(match codec {
+                    CodecChoice::Off => CompEval {
+                        energy_pj: out.baseline.total().as_pj(),
+                        beats: out.raw_beats,
+                    },
+                    _ => CompEval {
+                        energy_pj: out.compressed.total().as_pj(),
+                        beats: out.actual_beats,
+                    },
+                })
             },
-        };
-        shard.comp.insert(key, eval);
-        Ok(eval)
+        )
     }
 
-    fn ibus(&self, shard: &mut MemoShard, bus: BusChoice) -> f64 {
-        let key = bus.name();
-        if let Some(&hit) = shard.bus.get(&key) {
-            return hit;
-        }
-        if let Some(hit) = lock(&self.base).bus.get(&key).copied() {
-            shard.bus.insert(key, hit);
-            return hit;
-        }
-        let model = BusModel::onchip(&self.tech, 32);
-        let raw = transitions(self.fetch_stream.iter().map(|&(_, w)| w));
-        let encoded = match bus {
-            BusChoice::Raw => raw,
-            BusChoice::Gray => transitions(self.fetch_stream.iter().map(|&(_, w)| gray_encode(w))),
-            BusChoice::BusInvert => BusInvert::transitions(&self.fetch_stream),
-            BusChoice::Xor(regions) => {
-                RegionEncoder::train(&self.fetch_stream, regions)
-                    .evaluate(&self.fetch_stream)
-                    .encoded_transitions
-            }
-        };
-        let mut pj = model.energy_of(encoded).as_pj();
-        if bus != BusChoice::Raw {
-            // Encoder + decoder gate switching, as priced by the system
-            // flow.
-            pj += codec_gate_energy(&model, raw, encoded).as_pj();
-        }
-        shard.bus.insert(key, pj);
-        pj
+    fn ibus(&self, bus: BusChoice) -> Result<f64, FlowError> {
+        self.cached(
+            |m| &mut m.bus,
+            bus,
+            || {
+                let model = BusModel::onchip(&self.tech, 32);
+                let stream = &self.fetch_stream;
+                let raw = transitions(stream.iter().map(|&(_, w)| w));
+                let encoded = match bus {
+                    BusChoice::Raw => raw,
+                    BusChoice::Gray => transitions(stream.iter().map(|&(_, w)| gray_encode(w))),
+                    BusChoice::BusInvert => BusInvert::transitions(stream),
+                    BusChoice::Xor(regions) => {
+                        RegionEncoder::train(stream, regions)
+                            .evaluate(stream)
+                            .encoded_transitions
+                    }
+                };
+                let mut pj = model.energy_of(encoded).as_pj();
+                if bus != BusChoice::Raw {
+                    // Encoder + decoder gate switching, as priced by the
+                    // system flow.
+                    pj += codec_gate_energy(&model, raw, encoded).as_pj();
+                }
+                Ok(pj)
+            },
+        )
     }
 
-    fn scheduling(&self, shard: &mut MemoShard, l0: u64) -> Result<f64, FlowError> {
-        if let Some(&hit) = shard.sched.get(&l0) {
-            return Ok(hit);
-        }
-        if let Some(hit) = lock(&self.base).sched.get(&l0).copied() {
-            shard.sched.insert(l0, hit);
-            return Ok(hit);
-        }
-        let platform = SchedPlatform::new(&self.tech, l0, 16 << 10);
-        let out = run_scheduling("dse", &self.app, &platform)?;
-        let pj = out.greedy.as_pj();
-        shard.sched.insert(l0, pj);
-        Ok(pj)
+    fn scheduling(&self, l0: u64) -> Result<f64, FlowError> {
+        self.cached(
+            |m| &mut m.sched,
+            l0,
+            || {
+                let platform = SchedPlatform::new(&self.tech, l0, 16 << 10);
+                Ok(run_scheduling("dse", &self.app, &platform)?.greedy.as_pj())
+            },
+        )
     }
 
     /// Campaign outcome for one banked-memory shape. The exposure and the
     /// campaign depend only on `(banks, block)` — the protection is fixed
     /// per evaluator — so two points sharing a shape share the draw.
-    fn faults(
-        &self,
-        shard: &mut MemoShard,
-        banks: usize,
-        block: u64,
-    ) -> Result<FaultEval, FlowError> {
-        let key = (banks, block);
-        if let Some(&hit) = shard.fault.get(&key) {
-            return Ok(hit);
-        }
-        if let Some(hit) = lock(&self.base).fault.get(&key).copied() {
-            shard.fault.insert(key, hit);
-            return Ok(hit);
-        }
-        let shape = VariantSpec {
-            max_banks: banks,
-            block_size: block,
-            ..VariantSpec::default()
-        };
-        let exposure = data_memory_exposure(&self.trace, &shape, &self.tech)?;
-        let reads: u64 = exposure.banks.iter().map(|b| b.reads).sum();
-        let words: u64 = exposure.banks.iter().map(|b| b.words).sum();
-        let eval = FaultEval {
-            report: run_campaign(&self.fault, &self.tech, &exposure, self.workload.seed),
-            accesses: exposure.accesses(),
-            reads,
-            data_bytes: words * 4,
-        };
-        shard.fault.insert(key, eval);
-        Ok(eval)
+    fn faults(&self, banks: usize, block: u64) -> Result<FaultEval, FlowError> {
+        self.cached(
+            |m| &mut m.fault,
+            (banks, block),
+            || {
+                let shape = VariantSpec {
+                    max_banks: banks,
+                    block_size: block,
+                    ..VariantSpec::default()
+                };
+                let exposure = data_memory_exposure(&self.trace, &shape, &self.tech)?;
+                let reads: u64 = exposure.banks.iter().map(|b| b.reads).sum();
+                let words: u64 = exposure.banks.iter().map(|b| b.words).sum();
+                Ok(FaultEval {
+                    report: run_campaign(&self.fault, &self.tech, &exposure, self.workload.seed),
+                    accesses: exposure.accesses(),
+                    reads,
+                    data_bytes: words * 4,
+                })
+            },
+        )
     }
 
     /// Shared-LLC outcome of one CMP scenario over the workload's
     /// multi-programmed core set. Depends only on `(spec, cache)` — the
     /// workload, fault axis, and seed are fixed per evaluator.
-    fn cmp(
-        &self,
-        shard: &mut MemoShard,
-        spec: &CmpSpec,
-        cache: CacheGeom,
-    ) -> Result<CmpEval, FlowError> {
-        let key = (spec.clone(), cache);
-        if let Some(hit) = shard.cmp.get(&key) {
-            return Ok(hit.clone());
-        }
-        if let Some(hit) = lock(&self.base).cmp.get(&key).cloned() {
-            shard.cmp.insert(key, hit.clone());
-            return Ok(hit);
-        }
-        let runs = cmp_core_runs(
-            self.workload.kernel,
-            self.workload.scale,
-            self.workload.seed,
-            spec.cores,
-        )?;
-        let fetches: u64 = runs.iter().map(|r| r.trace.kind_counts().0 as u64).sum();
-        let out = simulate_cmp(
-            spec,
-            cache.config()?,
-            &self.tech,
-            runs,
-            &self.fault,
-            self.workload.seed,
-        );
-        let eval = CmpEval {
-            energy_pj: out.optimized.total().as_pj(),
-            fetches,
-            cycles: out.report.cycles,
-            area: out.area,
-            report: out.report,
-            reliability: out.reliability,
-        };
-        shard.cmp.insert(key, eval.clone());
-        Ok(eval)
+    fn cmp(&self, spec: &CmpSpec, cache: CacheGeom) -> Result<CmpEval, FlowError> {
+        self.cached(
+            |m| &mut m.cmp,
+            (spec.clone(), cache),
+            || {
+                let runs = cmp_core_runs(
+                    self.workload.kernel,
+                    self.workload.scale,
+                    self.workload.seed,
+                    spec.cores,
+                )?;
+                let fetches: u64 = runs.iter().map(|r| r.trace.kind_counts().0 as u64).sum();
+                let out = simulate_cmp(
+                    spec,
+                    cache.config()?,
+                    &self.tech,
+                    runs,
+                    &self.fault,
+                    self.workload.seed,
+                );
+                Ok(CmpEval {
+                    energy_pj: out.optimized.total().as_pj(),
+                    fetches,
+                    cycles: out.report.cycles,
+                    area: out.area,
+                    report: out.report,
+                    reliability: out.reliability,
+                })
+            },
+        )
     }
 
     fn gate_area_mm2(&self, gates: u64) -> f64 {
@@ -844,22 +788,53 @@ mod tests {
     }
 
     #[test]
-    fn shards_agree_with_fresh_evaluation() {
+    fn warm_evaluation_agrees_with_fresh_evaluation() {
         let eval = Evaluator::new(tiny_workload()).unwrap();
         let space = DesignSpace::small();
-        let mut shard = MemoShard::default();
-        let through_shard: Vec<Evaluation> = (0..8)
-            .map(|i| eval.evaluate_in(&mut shard, &space.point_at(i)).unwrap())
+        let cold: Vec<Evaluation> = (0..8)
+            .map(|i| eval.evaluate(&space.point_at(i)).unwrap())
             .collect();
-        eval.absorb(shard);
-        // A second pass (warm base, cold shard) and a fresh evaluator
+        // A second pass (every sub-flow a memo hit) and a fresh evaluator
         // (everything cold) both reproduce the same evaluations.
-        let mut cold = MemoShard::default();
         let fresh = Evaluator::new(tiny_workload()).unwrap();
-        for (i, expected) in through_shard.iter().enumerate() {
+        for (i, expected) in cold.iter().enumerate() {
             let p = space.point_at(i);
-            assert_eq!(&eval.evaluate_in(&mut cold, &p).unwrap(), expected);
+            assert_eq!(&eval.evaluate(&p).unwrap(), expected);
             assert_eq!(&fresh.evaluate(&p).unwrap(), expected);
         }
+    }
+
+    #[test]
+    fn concurrent_cold_evaluation_agrees_with_sequential() {
+        let secded = FaultSpec {
+            rate_scale: FaultSpec::DEFAULT_ACCEL.saturating_mul(100_000),
+            protection: lpmem_core::flows::Protection::Secded,
+        };
+        let space = DesignSpace::small();
+        // The CMP point goes first, so every thread starts on the same
+        // cold cmp and fault keys.
+        let mut points = vec![DesignPoint {
+            cmp: Some(CmpSpec::quad()),
+            ..space.point_at(5)
+        }];
+        points.extend((0..6).map(|i| space.point_at(i * 5)));
+        let sequential = Evaluator::with_faults(tiny_workload(), secded).unwrap();
+        let expected: Vec<Evaluation> = points
+            .iter()
+            .map(|p| sequential.evaluate(p).unwrap())
+            .collect();
+        // Four threads race over the same cold keys, so the fault and cmp
+        // tables fill concurrently; whichever insert lands, every thread
+        // sees the sequential result.
+        let shared = Evaluator::with_faults(tiny_workload(), secded).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for (p, want) in points.iter().zip(&expected) {
+                        assert_eq!(&shared.evaluate(p).unwrap(), want);
+                    }
+                });
+            }
+        });
     }
 }

@@ -46,7 +46,7 @@ pub mod frontier;
 pub mod point;
 pub mod search;
 
-pub use eval::{Evaluation, Evaluator, MemoShard, Objectives, Workload};
+pub use eval::{Evaluation, Evaluator, Objectives, Workload};
 pub use frontier::Frontier;
 pub use point::{BusChoice, CacheGeom, CodecChoice, DesignPoint, DesignSpace};
 pub use search::{

@@ -449,13 +449,7 @@ impl DesignSpace {
     /// `true` when every axis value of `point` is on the corresponding
     /// axis list.
     pub fn contains(&self, point: &DesignPoint) -> bool {
-        self.banks.contains(&point.banks)
-            && self.blocks.contains(&point.block)
-            && self.caches.contains(&point.cache)
-            && self.codecs.contains(&point.codec)
-            && self.buses.contains(&point.bus)
-            && self.l0s.contains(&point.l0)
-            && self.cmps.contains(&point.cmp)
+        self.index_of(point).is_some()
     }
 
     /// Checks that the space is non-empty, that no axis lists a value
@@ -574,13 +568,15 @@ impl DesignSpace {
     /// Mutates one axis in place; `false` when the axis has no alternative
     /// value to switch to.
     fn mutate_axis(&self, point: &mut DesignPoint, axis: u64, rng: &mut Rng) -> bool {
+        // Draws the same index the alternatives' list would, without
+        // building the list: mutation runs once per proposal.
         fn other<T: PartialEq + Clone>(list: &[T], current: &T, rng: &mut Rng) -> Option<T> {
-            let alts: Vec<&T> = list.iter().filter(|v| *v != current).collect();
-            if alts.is_empty() {
-                None
-            } else {
-                Some((*alts[rng.bounded_u64(alts.len() as u64) as usize]).clone())
+            let count = list.iter().filter(|v| *v != current).count();
+            if count == 0 {
+                return None;
             }
+            let k = rng.bounded_u64(count as u64) as usize;
+            list.iter().filter(|v| *v != current).nth(k).cloned()
         }
         match axis {
             0 => other(&self.banks, &point.banks, rng).map(|v| point.banks = v),

@@ -12,9 +12,9 @@
 use std::collections::HashSet;
 
 use lpmem_core::FlowError;
-use lpmem_util::{parallel_map_with, Rng, SplitMix64};
+use lpmem_util::{parallel_map, Rng, SplitMix64};
 
-use crate::eval::{Evaluation, Evaluator, MemoShard};
+use crate::eval::{Evaluation, Evaluator};
 use crate::frontier::{nsga_order, Frontier};
 use crate::point::{DesignPoint, DesignSpace};
 
@@ -76,23 +76,17 @@ pub trait SearchStrategy {
 }
 
 /// Evaluates a fixed batch on the pool, preserving batch order, and folds
-/// every result into the frontier. Each worker memoizes sub-flow results
-/// into its own [`MemoShard`] (no locking on the hot path); the shards are
-/// absorbed into the evaluator's base table afterwards so the next batch
-/// starts warm. Cached values are pure in their keys, so the results — and
-/// the frontier built from them — are byte-identical at any worker count.
+/// every result into the frontier. The workers share the evaluator's memo,
+/// so later batches and generations start warm; cached values are pure in
+/// their keys, so the results — and the frontier built from them — are
+/// byte-identical at any worker count.
 fn evaluate_batch(
     batch: Vec<DesignPoint>,
     evaluator: &Evaluator,
     workers: usize,
     frontier: &mut Frontier,
 ) -> Result<Vec<Evaluation>, FlowError> {
-    let (results, shards) = parallel_map_with(batch, workers, |shard: &mut MemoShard, p| {
-        evaluator.evaluate_in(shard, &p)
-    });
-    for shard in shards {
-        evaluator.absorb(shard);
-    }
+    let results = parallel_map(batch, workers, |p| evaluator.evaluate(&p));
     let mut evals = Vec::with_capacity(results.len());
     for r in results {
         let e = r?;

@@ -83,11 +83,6 @@ impl Measurement {
     pub fn elems_per_sec(&self, elements: u64) -> f64 {
         self.iters_per_sec() * elements as f64
     }
-
-    /// Human-readable per-iteration median, e.g. `"12.3 µs"`.
-    pub fn human_median(&self) -> String {
-        format_ns(self.median_ns)
-    }
 }
 
 /// Formats a nanosecond quantity with an adaptive unit.

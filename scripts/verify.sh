@@ -14,7 +14,7 @@ echo "==> cargo test -q --locked --offline --workspace"
 cargo test -q --locked --offline --workspace
 
 echo "==> sweep smoke (quick grid, 4 workers)"
-LPMEM_BENCH_QUICK=1 LPMEM_SWEEP_THREADS=4 \
+LPMEM_SWEEP_THREADS=4 \
     cargo run --release --locked --offline -p lpmem-bench --bin sweep -- \
     --quick --jsonl /dev/null
 
@@ -42,6 +42,17 @@ cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
     --axes cmp --strategy evolutionary --budget 256 --seed 7 \
     --threads 2 --jsonl target/explore_cmp_t2.jsonl
 cmp target/explore_cmp_t1.jsonl target/explore_cmp_t2.jsonl
+
+echo "==> explore smoke: fault-scored worker byte-identity (DESIGN.md §8, §12)"
+# Under a fault spec the workers share the evaluator's campaign table too;
+# the frontier JSONL must still be byte-identical at any worker count.
+cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
+    --axes full --strategy evolutionary --budget 4096 --seed 5 \
+    --faults secded --threads 1 --jsonl target/explore_fault_t1.jsonl
+cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
+    --axes full --strategy evolutionary --budget 4096 --seed 5 \
+    --faults secded --threads 2 --jsonl target/explore_fault_t2.jsonl
+cmp target/explore_fault_t1.jsonl target/explore_fault_t2.jsonl
 
 echo "==> isa backend differential smoke + speedup gate (DESIGN.md §10)"
 # Byte-identical traces on every kernel is a hard gate; the >=5x speedup
