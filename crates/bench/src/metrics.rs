@@ -1,25 +1,19 @@
 //! Run metrics for the sweep engine: per-flow aggregates and a
-//! fixed-bucket latency histogram. The JSON serializer the report is built
-//! with lives in [`lpmem_util::json`] and is re-exported here for its
-//! original callers.
+//! fixed-bucket latency histogram.
 //!
-//! Workers record into their own [`Metrics`] while they drain the queue;
-//! the engine [merges](Metrics::merge) them afterwards. Every counter is
-//! defined so that merging worker-local metrics in any grouping yields the
-//! same integer fields as a single-threaded aggregate (energy sums are
-//! floating-point and agree to rounding) — the property suite pins this.
+//! The engine folds every task into one [`Metrics`] in grid order after
+//! the workers finish, so the floating-point energy sums add up in the
+//! same order, and come out bit-identical, at any worker count.
 
 use std::collections::BTreeMap;
 
 use lpmem_core::flows::FlowSummary;
-pub use lpmem_util::json::JsonObject;
 
 use crate::table::Table;
 
 /// Upper bounds (exclusive, in nanoseconds) of the latency buckets; the
 /// last bucket is open-ended. A 1–3–10 ladder from 0.1 ms to 100 ms —
-/// fixed so histograms from different runs and workers are always
-/// mergeable bucket-by-bucket.
+/// fixed so histograms from different runs compare bucket by bucket.
 pub const BUCKET_BOUNDS_NS: [u64; 7] = [
     100_000,     // < 0.1 ms
     300_000,     // < 0.3 ms
@@ -92,13 +86,6 @@ impl LatencyHistogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Adds another histogram's counts into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
 }
 
 /// Aggregates for one flow across every task the sweep ran for it.
@@ -168,22 +155,6 @@ impl Metrics {
                 self.errors += 1;
                 fm.errors += 1;
             }
-        }
-    }
-
-    /// Merges another worker's metrics into this one.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.tasks += other.tasks;
-        self.errors += other.errors;
-        self.busy_ns += other.busy_ns;
-        self.latency.merge(&other.latency);
-        for (flow, fm) in &other.per_flow {
-            let mine = self.per_flow.entry(flow.clone()).or_default();
-            mine.tasks += fm.tasks;
-            mine.errors += fm.errors;
-            mine.wall_ns += fm.wall_ns;
-            mine.baseline_pj += fm.baseline_pj;
-            mine.optimized_pj += fm.optimized_pj;
         }
     }
 
@@ -352,81 +323,5 @@ mod tests {
                 let per_flow_tasks: u64 = m.per_flow.values().map(|f| f.tasks).sum();
                 assert_eq!(per_flow_tasks, n as u64);
             });
-    }
-
-    // Property: merging worker-local metrics equals the single-threaded
-    // aggregate — exact on every integer field, to rounding on the energy
-    // sums — for any split of the task stream across any worker count.
-    #[test]
-    fn prop_merged_worker_metrics_equal_single_threaded_aggregate() {
-        const FLOWS: [&str; 3] = ["partitioning", "compression", "system"];
-        Props::new("metrics merge equals aggregate")
-            .cases(96)
-            .run(|rng| {
-                let n = rng.gen_range(1..120usize);
-                let workers = rng.gen_range(1..9usize);
-                let events: Vec<(usize, u64, bool, f64, f64)> = (0..n)
-                    .map(|_| {
-                        (
-                            rng.gen_range(0..FLOWS.len()),
-                            rng.gen_range(0..50_000_000u64),
-                            rng.gen_bool(0.85),
-                            rng.gen_f64() * 1e6,
-                            rng.gen_f64() * 1e6,
-                        )
-                    })
-                    .collect();
-
-                let mut aggregate = Metrics::new();
-                let mut locals = vec![Metrics::new(); workers];
-                for (i, &(f, ns, ok, base, opt)) in events.iter().enumerate() {
-                    let s = summary(FlowSpec::Partitioning, base, opt);
-                    let outcome = if ok { Some(&s) } else { None };
-                    aggregate.record(FLOWS[f], ns, outcome);
-                    // Any assignment of tasks to workers must merge to the same
-                    // totals; use a rotating assignment perturbed by the rng.
-                    let w = (i + rng.gen_range(0..workers)) % workers;
-                    locals[w].record(FLOWS[f], ns, outcome);
-                }
-                let mut merged = Metrics::new();
-                for local in &locals {
-                    merged.merge(local);
-                }
-                assert_eq!(merged.tasks, aggregate.tasks);
-                assert_eq!(merged.errors, aggregate.errors);
-                assert_eq!(merged.busy_ns, aggregate.busy_ns);
-                assert_eq!(merged.latency, aggregate.latency);
-                assert_eq!(
-                    merged.per_flow.keys().collect::<Vec<_>>(),
-                    aggregate.per_flow.keys().collect::<Vec<_>>()
-                );
-                for (flow, fm) in &merged.per_flow {
-                    let afm = &aggregate.per_flow[flow];
-                    assert_eq!(fm.tasks, afm.tasks, "{flow}");
-                    assert_eq!(fm.errors, afm.errors, "{flow}");
-                    assert_eq!(fm.wall_ns, afm.wall_ns, "{flow}");
-                    let tol = 1e-9 * afm.baseline_pj.abs().max(1.0);
-                    assert!((fm.baseline_pj - afm.baseline_pj).abs() < tol, "{flow}");
-                    assert!((fm.optimized_pj - afm.optimized_pj).abs() < tol, "{flow}");
-                }
-            });
-    }
-
-    #[test]
-    fn json_escapes_and_formats_deterministically() {
-        let line = JsonObject::new()
-            .str("name", "he said \"hi\"\n\\end\t")
-            .u64("count", 42)
-            .f64("pi", 3.25)
-            .f64("bad", f64::NAN)
-            .finish();
-        assert_eq!(
-            line,
-            r#"{"name":"he said \"hi\"\n\\end\t","count":42,"pi":3.25,"bad":null}"#
-        );
-        // Control characters get \u escapes.
-        let ctl = JsonObject::new().str("c", "\u{1}").finish();
-        assert_eq!(ctl, "{\"c\":\"\\u0001\"}");
-        assert_eq!(JsonObject::new().finish(), "{}");
     }
 }

@@ -17,10 +17,11 @@ use lpmem_core::flows::{
     CmpSpec, FaultSpec, FlowSpec, FlowSummary, Scenario, TechNode, VariantSpec,
 };
 use lpmem_isa::Kernel;
+use lpmem_util::json::JsonObject;
 use lpmem_util::pool::try_parallel_map_with;
 use lpmem_util::SplitMix64;
 
-use crate::metrics::{JsonObject, Metrics};
+use crate::metrics::Metrics;
 use crate::table::Table;
 
 /// The declarative sweep space: the cartesian product of four axes plus a
@@ -254,7 +255,7 @@ impl TaskResult {
 pub struct SweepReport {
     /// Results, sorted by task index (grid order).
     pub results: Vec<TaskResult>,
-    /// Aggregated run metrics (merged across workers).
+    /// Run metrics, folded over the results in grid order.
     pub metrics: Metrics,
     /// Worker threads used.
     pub workers: usize,
@@ -324,21 +325,15 @@ where
 {
     let started = Instant::now();
     let tasks = grid.tasks();
-    let (outcomes, states) = try_parallel_map_with(
-        tasks.iter().collect(),
-        workers,
-        |metrics: &mut Metrics, task: &SweepTask| {
-            let t0 = Instant::now();
-            let outcome = run(task);
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            metrics.record(task.flow.name(), wall_ns, outcome.as_ref().ok());
-            (outcome, wall_ns)
-        },
-    );
+    let outcomes = try_parallel_map_with(tasks.iter().collect(), workers, |_: &mut (), task| {
+        let t0 = Instant::now();
+        let outcome = run(task);
+        (outcome, t0.elapsed().as_nanos() as u64)
+    })
+    .0;
+    // One fold in grid order: the float energy sums then add up in the
+    // same order at any worker count.
     let mut metrics = Metrics::new();
-    for local in &states {
-        metrics.merge(local);
-    }
     let results = tasks
         .into_iter()
         .zip(outcomes)
@@ -346,10 +341,9 @@ where
             // A poisoned task gets a deterministic error record in its
             // grid slot. Zero wall time: the measurement died with the
             // task.
-            let (outcome, wall_ns) = outcome.unwrap_or_else(|p| {
-                metrics.record(task.flow.name(), 0, None);
-                (Err(format!("panic: {}", p.message)), 0)
-            });
+            let (outcome, wall_ns) =
+                outcome.unwrap_or_else(|p| (Err(format!("panic: {}", p.message)), 0));
+            metrics.record(task.flow.name(), wall_ns, outcome.as_ref().ok());
             TaskResult {
                 task,
                 outcome,

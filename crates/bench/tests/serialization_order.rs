@@ -4,9 +4,8 @@
 //! that iterated an unordered map into a report would fail here before it
 //! could ship a byte-drifting JSONL.
 
-use lpmem_bench::metrics::Metrics;
-use lpmem_core::flows::{FlowSpec, FlowSummary};
-use lpmem_energy::{AreaReport, Energy};
+use lpmem_bench::sweep::{run_sweep, SweepGrid};
+use lpmem_energy::AreaReport;
 use lpmem_explore::{DesignSpace, Evaluation, Frontier, Objectives};
 use lpmem_util::Rng;
 
@@ -55,78 +54,38 @@ fn frontier_jsonl_is_insertion_order_invariant() {
     }
 }
 
-fn summary(baseline_pj: f64, optimized_pj: f64) -> FlowSummary {
-    FlowSummary {
-        flow: FlowSpec::Partitioning,
-        workload: "w".into(),
-        baseline: Energy::from_pj(baseline_pj),
-        optimized: Energy::from_pj(optimized_pj),
-        events: 1,
-        reliability: None,
-        cmp: None,
-    }
-}
-
-/// The sweep's per-flow table is byte-identical whatever order tasks are
-/// recorded in and however they are grouped across workers before the
-/// merge. Energies here are integer-valued pJ, where f64 addition is
-/// exact, so the rendered bytes must match exactly — a `HashMap` behind
-/// `per_flow` (D01) or order-sensitive accumulation would break this.
+/// The sweep's per-flow metrics are bit-identical at any worker count.
+/// The engine folds them over the results in grid order, so the float
+/// energy sums add up in one order; summing per worker and merging would
+/// make the low bits depend on which worker claimed which task.
 #[test]
-fn metrics_tables_are_record_and_merge_order_invariant() {
-    const FLOWS: [&str; 4] = ["partitioning", "compression", "buscoding", "system"];
-    let events: Vec<(usize, u64, bool, f64, f64)> = (0..64)
-        .map(|i| {
-            (
-                (i * 13) % FLOWS.len(),
-                ((i * 29) % 40) as u64 * 1_000_000,
-                i % 7 != 0,
-                ((i * 37) % 500) as f64,
-                ((i * 17) % 400) as f64,
-            )
-        })
-        .collect();
-
-    let mut reference = Metrics::new();
-    for &(f, ns, ok, base, opt) in &events {
-        let s = summary(base, opt);
-        reference.record(FLOWS[f], ns, if ok { Some(&s) } else { None });
-    }
-    let flow_golden = reference.flow_table(1_000_000_000, 4).to_string();
-    let latency_golden = reference.latency_table().to_string();
-
-    let mut rng = Rng::seed_from_u64(0x1b_2003);
-    let mut order: Vec<usize> = (0..events.len()).collect();
-    for round in 0..16 {
-        rng.shuffle(&mut order);
-        let workers = rng.gen_range(1..9usize);
-        // Record the permuted stream through worker-local metrics, then
-        // merge the workers in a rotated order.
-        let mut locals = vec![Metrics::new(); workers];
-        for (slot, &i) in order.iter().enumerate() {
-            let (f, ns, ok, base, opt) = events[i];
-            let s = summary(base, opt);
-            locals[slot % workers].record(FLOWS[f], ns, if ok { Some(&s) } else { None });
-        }
-        let first = rng.gen_range(0..workers);
-        let mut merged = Metrics::new();
-        for w in 0..workers {
-            merged.merge(&locals[(first + w) % workers]);
-        }
+fn sweep_metrics_are_bit_identical_at_any_worker_count() {
+    let grid = SweepGrid::default_grid(true);
+    let reference = run_sweep(&grid, 1).metrics;
+    assert_eq!(reference.tasks, grid.len() as u64);
+    for workers in [2, 8] {
+        let metrics = run_sweep(&grid, workers).metrics;
         assert_eq!(
-            merged.flow_table(1_000_000_000, 4).to_string(),
-            flow_golden,
-            "flow table diverged on permutation {round} ({workers} workers)"
-        );
-        assert_eq!(
-            merged.latency_table().to_string(),
-            latency_golden,
-            "latency table diverged on permutation {round}"
-        );
-        // The per-flow key order itself is pinned (BTreeMap semantics).
-        assert_eq!(
-            merged.per_flow.keys().collect::<Vec<_>>(),
+            metrics.per_flow.keys().collect::<Vec<_>>(),
             reference.per_flow.keys().collect::<Vec<_>>()
         );
+        for (flow, fm) in &metrics.per_flow {
+            let want = &reference.per_flow[flow];
+            assert_eq!(
+                (fm.tasks, fm.errors),
+                (want.tasks, want.errors),
+                "{flow} at {workers} workers"
+            );
+            assert_eq!(
+                fm.baseline_pj.to_bits(),
+                want.baseline_pj.to_bits(),
+                "{flow} baseline at {workers} workers"
+            );
+            assert_eq!(
+                fm.optimized_pj.to_bits(),
+                want.optimized_pj.to_bits(),
+                "{flow} optimized at {workers} workers"
+            );
+        }
     }
 }

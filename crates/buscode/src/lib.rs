@@ -59,7 +59,6 @@ pub mod addrbus;
 /// completeness; it cancels out of transition counts but documents the full
 /// hardware family.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct XorTransform {
     pair: [Option<u8>; 32],
     invert: u32,
@@ -324,7 +323,6 @@ impl BusInvert {
 /// Per-region reprogrammable encoder: the address range of the fetch stream
 /// is split into equal regions, each with its own trained [`XorTransform`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegionEncoder {
     base: u64,
     region_bytes: u64,
@@ -333,7 +331,6 @@ pub struct RegionEncoder {
 
 /// Result of evaluating a [`RegionEncoder`] on a fetch stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EncodingReport {
     /// Transitions of the unencoded stream.
     pub raw_transitions: u64,

@@ -50,7 +50,6 @@ use lpmem_trace::{BlockProfile, Trace, TraceError};
 
 /// Clustering objective (ablation **A1** in `DESIGN.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Objective {
     /// Sort blocks by access frequency only.
     FrequencyOnly,
@@ -62,7 +61,6 @@ pub enum Objective {
 
 /// Parameters of [`cluster_blocks`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterConfig {
     /// Sliding co-access window (in events) used to build the affinity
     /// graph.
@@ -86,7 +84,6 @@ impl Default for ClusterConfig {
 /// A bijective remapping of profile blocks: the output of clustering and
 /// the model of the relocation table inserted in the address path.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AddressMap {
     /// `forward[old_block] = new_block`.
     forward: Vec<usize>,

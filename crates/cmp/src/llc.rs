@@ -18,7 +18,6 @@ pub const SEGMENTS_PER_LINE: u32 = 4;
 
 /// Geometry of the shared LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LlcConfig {
     /// Number of NUCA banks.
     pub banks: u32,
@@ -78,7 +77,6 @@ impl LlcConfig {
 
 /// Per-bank access counters, all integer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LlcBankStats {
     /// Lookups routed to the bank.
     pub lookups: u64,

@@ -50,7 +50,6 @@ pub struct CoreRun {
 /// Machine-readable outcome counters of a CMP run, carried on
 /// `FlowSummary` and dumped as conditional JSONL fields.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CmpReport {
     /// The spec label the run was configured with.
     pub spec: String,

@@ -21,7 +21,6 @@ pub const DEFAULT_QUANTUM: u32 = 32;
 /// The LLC line codec choice — `lpmem-compress` codecs applied at the
 /// shared-cache boundary instead of the private write-back path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LlcCodec {
     /// Uncompressed LLC: every line occupies all four segments.
     Off,
@@ -72,7 +71,6 @@ impl LlcCodec {
 /// `cores == 0` is the disabled configuration ([`CmpSpec::off`]); a
 /// disabled spec must leave every existing report byte-identical.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CmpSpec {
     /// Number of TinyRISC cores. `0` disables the CMP scenario entirely.
     pub cores: u32,

@@ -9,7 +9,6 @@ pub const BEAT_BYTES: usize = 4;
 
 /// Aggregate result of compressing a write-back stream with one codec.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WritebackAnalysis {
     /// Lines examined.
     pub lines: u64,

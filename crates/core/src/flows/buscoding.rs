@@ -8,7 +8,6 @@ use crate::FlowError;
 
 /// Result of the bus-encoding study for one workload.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BusCodingOutcome {
     /// Workload label.
     pub name: String,

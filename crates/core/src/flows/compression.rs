@@ -12,7 +12,6 @@ use crate::FlowError;
 /// Platform presets for the compression study, mirroring the two systems of
 /// the 1B.2 evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlatformKind {
     /// Lx-ST200-class VLIW: wide 64-byte lines, 4 KiB write-back D-cache.
     /// Wide lines mean more beats per write-back — the configuration where
@@ -145,7 +144,6 @@ impl Backing for CompressingBacking<'_> {
 
 /// Result of the compression study for one workload on one platform.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CompressionOutcome {
     /// Workload label.
     pub name: String,

@@ -11,7 +11,6 @@ use crate::FlowError;
 
 /// Parameters of the partitioning flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartitioningConfig {
     /// Profile block size in bytes (the partitioning granularity).
     pub block_size: u64,
@@ -35,7 +34,6 @@ impl Default for PartitioningConfig {
 
 /// Result of the three-way partitioning comparison for one workload.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartitioningOutcome {
     /// Workload label.
     pub name: String,
@@ -167,7 +165,6 @@ pub fn run_partitioning(
 /// plain partitioning vs. frequency-only clustering vs. affinity-aware
 /// clustering, all evaluated with the trace-driven power-gating model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SleepPartitioningOutcome {
     /// Workload label.
     pub name: String,

@@ -70,7 +70,6 @@ pub fn dsp_pipeline_app(stages: usize, iterations: u64, seed: u64) -> Result<App
 
 /// Result of the scheduling comparison for one application.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SchedulingOutcome {
     /// Application label.
     pub name: String,

@@ -42,7 +42,6 @@ pub use lpmem_energy::TechNode;
 
 /// One evaluation flow, enumerable and dispatchable by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FlowSpec {
     /// 1B.1: memory partitioning ± address clustering.
     Partitioning,
@@ -322,7 +321,6 @@ impl std::fmt::Display for FlowSpec {
 /// Every per-flow knob a sweep grid's variant axis may vary, bundled with
 /// a display name. Flows read only the fields they understand.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VariantSpec {
     /// Variant label in grid syntax and reports.
     pub name: String,
@@ -397,7 +395,6 @@ impl VariantSpec {
 /// and optimized energies of its headline comparison plus the number of
 /// events (accesses, lines, fetches, context activations) it evaluated.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowSummary {
     /// The flow that produced this summary.
     pub flow: FlowSpec,

@@ -23,7 +23,6 @@ use crate::FlowError;
 
 /// Result of the whole-system study for one kernel.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemOutcome {
     /// Workload label.
     pub name: String,

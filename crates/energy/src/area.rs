@@ -23,7 +23,6 @@ use std::fmt;
 /// assert!((a.component("bank.periphery") - 0.10).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AreaReport {
     components: BTreeMap<String, f64>,
 }

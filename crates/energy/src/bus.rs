@@ -18,7 +18,6 @@ use crate::{Energy, Technology};
 /// assert!(e > lpmem_energy::Energy::ZERO);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BusModel {
     width_bits: u32,
     cap_pf_per_line: f64,

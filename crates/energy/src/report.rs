@@ -23,7 +23,6 @@ use crate::Energy;
 /// assert_eq!(r.component("sram.read"), Energy::from_pj(150.0));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyReport {
     components: BTreeMap<String, Energy>,
 }

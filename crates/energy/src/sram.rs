@@ -19,7 +19,6 @@ use crate::{Energy, Technology};
 /// assert!(one_4k.as_pj() < 0.5 * one_64k.as_pj());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SramModel {
     e0_pj: f64,
     e1_pj: f64,
@@ -112,7 +111,6 @@ impl SramModel {
 /// Off-chip (main) memory model: energy is charged per 4-byte beat moved
 /// across the external interface, covering command, I/O, and core energy.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OffChipModel {
     beat_pj: f64,
 }

@@ -8,7 +8,6 @@
 /// ratios between components; see `DESIGN.md` §4 for the substitution
 /// rationale.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Technology {
     /// Human-readable node name, e.g. `"0.18um"`.
     pub name: String,
@@ -168,7 +167,6 @@ impl Default for Technology {
 /// per-partition technology axis, the fleet model) can name nodes without
 /// a dependency cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TechNode {
     /// 0.18 µm (the DATE 2003 headline node).
     T180,

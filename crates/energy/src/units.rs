@@ -22,7 +22,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 ///
 /// [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Energy(f64);
 
 impl Energy {

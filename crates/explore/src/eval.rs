@@ -60,7 +60,6 @@ const GATE_CELLS: f64 = 2.5;
 
 /// The workload a search scores every candidate against.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Workload {
     /// Kernel generating the trace and fetch stream.
     pub kernel: Kernel,
@@ -98,7 +97,6 @@ impl Default for Workload {
 /// fault campaign, zero whenever the evaluator's fault axis is off — so a
 /// fault-free search has exactly the classic three-axis dominance.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Objectives {
     /// Total platform energy in pJ.
     pub energy_pj: f64,
@@ -128,7 +126,6 @@ impl Objectives {
 
 /// One scored design point.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Evaluation {
     /// The configuration that was scored.
     pub point: DesignPoint,

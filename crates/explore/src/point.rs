@@ -18,7 +18,6 @@ use lpmem_util::Rng;
 
 /// D-cache geometry: capacity, line size, associativity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheGeom {
     /// Total capacity in bytes.
     pub size: u64,
@@ -47,7 +46,6 @@ impl fmt::Display for CacheGeom {
 
 /// Write-back compression codec choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CodecChoice {
     /// No compression hardware at all (no codec energy or area).
     Off,
@@ -81,7 +79,6 @@ impl CodecChoice {
 
 /// Instruction-bus encoding choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BusChoice {
     /// Unencoded bus (no encoder energy or area).
     Raw,
@@ -111,7 +108,6 @@ impl BusChoice {
 /// (`b8-k2048-c4096x64x2-diff-xor4-l01024`) used for deduplication,
 /// deterministic tie-breaking, and JSONL rows.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DesignPoint {
     /// Scratchpad bank budget (partitioning `max_banks`).
     pub banks: usize,
@@ -232,7 +228,6 @@ impl fmt::Display for DesignPoint {
 /// lists — validity is a property of the space, checked once by
 /// [`DesignSpace::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DesignSpace {
     /// Bank-budget axis.
     pub banks: Vec<usize>,

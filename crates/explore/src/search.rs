@@ -20,7 +20,6 @@ use crate::point::{DesignPoint, DesignSpace};
 
 /// Shared knobs of every search strategy.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SearchConfig {
     /// Maximum number of evaluations (seeds included).
     pub budget: usize,

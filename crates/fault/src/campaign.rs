@@ -42,7 +42,6 @@ const MBIT_BITS: f64 = (1u64 << 20) as f64;
 /// One reliability configuration: an acceleration factor for the
 /// technology's fault rates plus a protection scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSpec {
     /// Beam-style acceleration factor on the technology's FIT rates.
     /// `0` disables injection entirely.
@@ -114,7 +113,6 @@ impl FaultSpec {
 /// Fault exposure of one memory bank: its size and how long it sat in
 /// each power state. All integers, derived from trace replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BankExposure {
     /// 32-bit data words in the bank.
     pub words: u64,
@@ -132,7 +130,6 @@ pub struct BankExposure {
 /// The campaign's view of a whole memory: its banks plus a domain tag
 /// separating independent fault universes (e.g. per-device campaigns).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultExposure {
     /// Derivation-path domain (0 for a flow's data memory; fleet
     /// campaigns use the device index).
@@ -168,7 +165,6 @@ impl FaultExposure {
 /// in exactly one of the four outcome classes, so
 /// `injected == masked + detected + corrected + silent` always holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReliabilityReport {
     /// Bits flipped by the injector.
     pub injected: u64,

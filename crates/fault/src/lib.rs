@@ -39,7 +39,6 @@ pub use codec::{
 
 /// A word-granular memory protection scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Protection {
     /// Unprotected storage: every consumed upset is silent.
     None,

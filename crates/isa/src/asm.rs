@@ -31,7 +31,6 @@ const DEFAULT_DATA_BASE: u32 = 0x1_0000;
 /// A loadable memory image: `(base address, bytes)` segments plus the entry
 /// point.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Program {
     segments: Vec<(u32, Vec<u8>)>,
     entry: u32,

@@ -12,7 +12,6 @@
 
 /// A register index `r0..r15`; `r0` always reads zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Reg(u8);
 
 impl Reg {
@@ -38,7 +37,6 @@ impl std::fmt::Display for Reg {
 
 /// Every TinyRISC opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 #[allow(missing_docs)]
 pub enum Opcode {
@@ -142,7 +140,6 @@ pub const IMM22_MAX: i32 = (1 << 21) - 1;
 
 /// A decoded instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)] // field meanings are given per variant
 pub enum Inst {
     /// R-type: `op rd, rs1, rs2`.

@@ -9,8 +9,8 @@
 //!   directory to the first `Cargo.toml` containing `[workspace]`).
 //! * `--paths a,b`  restrict to files whose relative path starts with one
 //!   of the given prefixes.
-//! * `--rules a,b`  run only the listed rules (disables the L-series
-//!   meta-rules unless listed).
+//! * `--rules a,b`  report only the listed rules, each with exactly its
+//!   full-run findings (the L-series meta-rules run only without it).
 //! * `--json`       emit the stable-sorted JSON array instead of text.
 //! * `--deny`       exit non-zero when any diagnostic survives — the CI
 //!   gate mode used by `scripts/verify.sh`.
@@ -22,9 +22,10 @@
 //! Output is byte-stable for a given tree: files are walked in sorted
 //! order and diagnostics sort by (path, line, rule).
 //!
-//! An unknown flag, a flag missing its value and an argument that is not
-//! valid UTF-8 print the usage line and exit 2. The linter keeps its own
-//! argument loop: its crate depends on nothing, in-tree crates included.
+//! An unknown flag, a flag missing its value, an empty `--rules` list and
+//! an argument that is not valid UTF-8 print the usage line and exit 2.
+//! The linter keeps its own argument loop: its crate depends on nothing,
+//! in-tree crates included.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -70,6 +71,9 @@ fn main() -> ExitCode {
                         .filter(|s| !s.is_empty())
                         .map(String::from)
                         .collect();
+                    if set.is_empty() {
+                        return usage("--rules needs at least one rule");
+                    }
                     for r in &set {
                         if !CATALOG.iter().any(|c| c.id == r) {
                             return usage(&format!("unknown rule `{r}` (see --list)"));

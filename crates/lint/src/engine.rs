@@ -37,10 +37,11 @@ use crate::taint;
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Restrict to these rule ids (`None` = all rules plus the L-series
-    /// meta-rules; a filter disables L00/L01/L02 unless listed, and runs
-    /// the semantic phase only when a T-series or A02 rule is listed —
-    /// heuristic-only filters also skip semantic retraction).
+    /// Restrict the report to these rule ids (`None` = all rules plus the
+    /// L-series meta-rules). A filter only narrows the report: the
+    /// semantic phase and its retractions run as on a full run, so each
+    /// listed rule reports exactly its full-run findings. The meta-rules
+    /// L00/L01/L02 run only without a filter.
     pub rules: Option<BTreeSet<String>>,
     /// Restrict the walk to relative paths with one of these prefixes.
     pub paths: Vec<String>,
@@ -130,39 +131,25 @@ pub fn lint_files(inputs: &[(String, String)], opts: &Options) -> Report {
         });
     }
 
-    // Phase B: semantic analysis over the resolved workspace. A `--rules`
-    // filter without any semantic rule skips it entirely (pure heuristic
-    // mode, no retraction).
-    let semantic = opts
-        .rules
-        .as_ref()
-        .is_none_or(|f| ["T01", "T02", "A02"].iter().any(|r| f.contains(*r)));
-    let (sem_diags, retract, mut stats) = if semantic {
-        let ws = Workspace::build(inputs);
-        let out = taint::analyze(&ws, &all_heur);
-        let stats = Stats {
-            files: inputs.len(),
-            lines,
-            functions: out.stats.functions,
-            taint_sites: out.stats.taint_sites,
-            resolved_calls: out.stats.resolved_calls,
-            unresolved_calls: out.stats.unresolved_calls,
-            retracted: out.retract.len(),
-        };
-        let keep = |d: &Diag| opts.rules.as_ref().is_none_or(|f| f.contains(d.rule));
-        let diags: Vec<Diag> = out.diags.into_iter().filter(|d| keep(d)).collect();
-        (diags, out.retract, stats)
-    } else {
-        (
-            Vec::new(),
-            BTreeSet::new(),
-            Stats {
-                files: inputs.len(),
-                lines,
-                ..Stats::default()
-            },
-        )
+    // Phase B: semantic analysis over the resolved workspace. It runs
+    // under a `--rules` filter too, so a filter only narrows the report.
+    let ws = Workspace::build(inputs);
+    let out = taint::analyze(&ws, &all_heur);
+    let stats = Stats {
+        files: inputs.len(),
+        lines,
+        functions: out.stats.functions,
+        taint_sites: out.stats.taint_sites,
+        resolved_calls: out.stats.resolved_calls,
+        unresolved_calls: out.stats.unresolved_calls,
+        retracted: out.retract.len(),
     };
+    let retract = out.retract;
+    let sem_diags: Vec<Diag> = out
+        .diags
+        .into_iter()
+        .filter(|d| opts.rules.as_ref().is_none_or(|f| f.contains(d.rule)))
+        .collect();
 
     let mut report = Report::default();
     for mut w in works {
@@ -235,7 +222,6 @@ pub fn lint_files(inputs: &[(String, String)], opts: &Options) -> Report {
         report.suppressed.extend(suppressed);
     }
     report.files = inputs.len();
-    stats.files = inputs.len();
     report.stats = stats;
     report.diags.sort();
     report.suppressed.sort();
@@ -561,8 +547,10 @@ mod tests {
             rules: Some(["D02".to_string()].into_iter().collect()),
             paths: Vec::new(),
         };
-        let src = "// lpmem-lint: allow(D04, reason = \"would be L01 unfiltered\")\nuse std::time::Instant;\n";
-        let (diags, _) = lint_source("crates/x/src/lib.rs", src, &opts);
+        let src = format!(
+            "// lpmem-lint: allow(D04, reason = \"would be L01 unfiltered\")\n{ESCAPING_CLOCK}\n"
+        );
+        let (diags, _) = lint_source("crates/x/src/lib.rs", &src, &opts);
         let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
         assert_eq!(rules, vec!["D02"]);
     }

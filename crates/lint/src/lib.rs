@@ -7,12 +7,13 @@
 //! them statically, in two phases. A hand-rolled lexer ([`lexer`]) feeds
 //! the heuristic rule engine ([`rules`], [`engine`]), which walks every
 //! workspace source file and emits deterministic diagnostics ([`diag`]).
-//! On full-catalog runs a semantic phase then parses each file into an
-//! AST ([`parse`], [`ast`]), resolves the workspace symbol table and
-//! call graph ([`resolve`]), and runs an inter-procedural determinism
-//! taint analysis ([`taint`]) that adds the T-series and A02 findings,
+//! A semantic phase then parses each file into an AST ([`parse`],
+//! [`ast`]), resolves the workspace symbol table and call graph
+//! ([`resolve`]), and runs an inter-procedural determinism taint
+//! analysis ([`taint`]) that adds the T-series and A02 findings,
 //! retracts heuristic findings it proves safe, and flags the
-//! suppressions those retractions make obsolete (L02). Because the
+//! suppressions those retractions make obsolete (L02). Both phases run
+//! on every run; a rule filter only narrows the report. Because the
 //! build is hermetic (DESIGN.md §5) there is no `syn`, no
 //! `clippy-utils`, and no registry: the linter is built in-tree, from
 //! nothing but `std`, and is itself subject to every rule it enforces.

@@ -98,8 +98,9 @@ pub fn is_source_rule(id: &str) -> bool {
     CATALOG.iter().any(|r| r.id == id && !r.id.starts_with('L'))
 }
 
-/// Hash-container iteration methods whose order is arbitrary.
-const ITER_METHODS: &[&str] = &[
+/// Hash-container iteration methods whose order is arbitrary. The
+/// semantic phase classifies its hash-iteration sources by the same list.
+pub(crate) const ITER_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
     "keys",

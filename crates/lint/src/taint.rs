@@ -44,6 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::ast::{BinOp, Block, Expr, ExprKind, Pat, Stmt};
 use crate::diag::Diag;
 use crate::resolve::{CallTarget, FnId, UnresolvedKind, Workspace};
+use crate::rules::ITER_METHODS;
 
 /// Parameter tokens live above this bit; everything below is a site id.
 const PARAM_BASE: u32 = 0x8000_0000;
@@ -62,20 +63,6 @@ const SINK_NAMES: &[&str] = &[
 
 /// `Trace` methods that emit: tainted arguments are findings.
 const TRACE_SINK_METHODS: &[&str] = &["push", "extend", "extend_from_slice"];
-
-/// Hash-container iteration methods whose visit order is arbitrary
-/// (mirrors the heuristic layer's list).
-const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
 
 /// Integer type heads for the A02 operand check.
 const INT_HEADS: &[&str] = &[
@@ -324,7 +311,7 @@ impl<'a> Analyzer<'a> {
                 None
             }
             ExprKind::MethodCall { recv, method, .. } => {
-                if !HASH_ITER_METHODS.contains(&method.as_str()) {
+                if !ITER_METHODS.contains(&method.as_str()) {
                     return None;
                 }
                 let rty = self.ws.infer(&self.ws.envs[f], rec, recv)?;

@@ -9,7 +9,8 @@
 
 use std::path::Path;
 
-use lpmem_lint::{lint_root, render_json, render_text, Options};
+use lpmem_lint::rules::is_source_rule;
+use lpmem_lint::{lint_root, render_json, render_text, Diag, Options};
 
 const GOLDEN: &str = include_str!("fixtures_golden.txt");
 
@@ -59,4 +60,41 @@ fn fixture_output_is_byte_stable_across_runs() {
     assert_eq!(render_json(&a.diags), render_json(&b.diags));
     assert_eq!(a.suppressed, b.suppressed);
     assert_eq!(a.files, b.files);
+}
+
+#[test]
+fn a_rule_filter_reports_exactly_the_full_run_findings_of_its_rules() {
+    let full = lint_root(&fixtures_dir(), &Options::default()).expect("full run");
+    for rule in lpmem_lint::CATALOG.iter().filter(|r| is_source_rule(r.id)) {
+        let opts = Options {
+            rules: Some([rule.id.to_string()].into_iter().collect()),
+            paths: Vec::new(),
+        };
+        let filtered = lint_root(&fixtures_dir(), &opts).expect("filtered run");
+        let of_rule = |diags: &[Diag]| -> Vec<Diag> {
+            diags
+                .iter()
+                .filter(|d| d.rule == rule.id)
+                .cloned()
+                .collect()
+        };
+        assert_eq!(filtered.diags, of_rule(&full.diags), "{}", rule.id);
+        assert_eq!(
+            filtered.suppressed,
+            of_rule(&full.suppressed),
+            "{}",
+            rule.id
+        );
+    }
+}
+
+#[test]
+fn an_empty_rule_list_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lint"))
+        .args(["--rules", ",", "--deny", "--root"])
+        .arg(fixtures_dir())
+        .output()
+        .expect("run lint");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
 }

@@ -4,7 +4,6 @@ use crate::{Backing, MemError};
 
 /// Write policy of a [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WritePolicy {
     /// Write-back with write-allocate: stores dirty the line; dirty lines
     /// are written to the backing on eviction or [`Cache::flush`]. This is
@@ -17,7 +16,6 @@ pub enum WritePolicy {
 
 /// Replacement policy of a [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReplacementPolicy {
     /// Least-recently used.
     Lru,
@@ -27,7 +25,6 @@ pub enum ReplacementPolicy {
 
 /// Geometry and policies of a [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     size_bytes: u64,
     line_bytes: u32,
@@ -118,7 +115,6 @@ impl CacheConfig {
 
 /// Hit/miss and memory-side traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Read accesses presented to the cache.
     pub reads: u64,

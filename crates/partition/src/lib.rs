@@ -47,7 +47,6 @@ use lpmem_trace::BlockProfile;
 /// Stored as ascending cut points `0 = c₀ < c₁ < … < c_k = n`; bank `i`
 /// covers blocks `c_i..c_{i+1}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Partition {
     cuts: Vec<usize>,
 }
@@ -102,7 +101,6 @@ impl Partition {
 
 /// Per-bank energy summary within a [`PartitionEvaluation`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BankInfo {
     /// Block range of the bank.
     pub blocks: std::ops::Range<usize>,
@@ -117,7 +115,6 @@ pub struct BankInfo {
 /// Result of evaluating a partition: total energy breakdown plus per-bank
 /// detail.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartitionEvaluation {
     /// Energy breakdown (`bank.read`, `bank.write`, `bank.select`,
     /// `sram.idle`).

@@ -23,7 +23,6 @@ use crate::Partition;
 
 /// Bank power-gating policy.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SleepPolicy {
     /// Idle ticks (trace events) before a bank is put to sleep.
     pub timeout: u64,
@@ -52,7 +51,6 @@ impl SleepPolicy {
 
 /// Result of a sleep-aware evaluation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SleepEvaluation {
     /// Energy breakdown: `bank.read`, `bank.write`, `bank.select`,
     /// `leak.idle`, `leak.sleep`, `wakeups`.

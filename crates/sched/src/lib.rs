@@ -84,7 +84,6 @@ impl std::error::Error for SchedError {}
 
 /// A storage level for an array during one context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Level {
     /// Small, cheapest on-chip store.
     L0,
@@ -97,7 +96,6 @@ pub enum Level {
 /// One context: its configuration size and the array traffic of its
 /// kernels (per loop iteration).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ContextSpec {
     /// 32-bit words of configuration loaded when this context starts.
     pub config_words: u64,
@@ -118,7 +116,6 @@ impl ContextSpec {
 /// A validated application: named arrays, the context sequence, and how
 /// many loop iterations the sequence repeats.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AppSpec {
     arrays: Vec<(String, u64)>,
     contexts: Vec<ContextSpec>,
@@ -222,7 +219,6 @@ impl AppSpec {
 /// A data schedule: per context, the level of every array, plus the
 /// configuration-residency flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schedule {
     /// `placement[context][array] = level` (arrays not live in a context are
     /// conventionally `External` and cost nothing).

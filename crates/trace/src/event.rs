@@ -4,7 +4,6 @@ use crate::TraceError;
 
 /// The kind of memory access an event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// Instruction fetch (I-side).
     InstrFetch,
@@ -30,7 +29,6 @@ impl AccessKind {
 /// explicit timestamp because every consumer in this workspace treats the
 /// trace index as logical time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemEvent {
     /// Byte address of the access.
     pub addr: u64,
@@ -110,7 +108,6 @@ impl MemEvent {
 /// assert_eq!(trace.span(), Some((0, 60)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     events: Vec<MemEvent>,
 }

@@ -16,7 +16,6 @@ use crate::{checked_log2, Trace, TraceError};
 /// still hold cold blocks that sit between hot ones (the inefficiency that
 /// address clustering removes).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockProfile {
     base: u64,
     block_size: u64,

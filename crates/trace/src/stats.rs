@@ -24,7 +24,6 @@ use crate::{Trace, TraceError};
 /// fully-associative LRU cache, so this single structure predicts hit rates
 /// for every capacity at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StackDistanceHistogram {
     hist: Vec<u64>,
     cold: u64,
@@ -98,7 +97,6 @@ impl StackDistanceHistogram {
 
 /// Summary locality metrics for a trace.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalityReport {
     /// Fraction of consecutive accesses within `spatial_window` bytes of each
     /// other.

@@ -343,7 +343,6 @@ impl StreamingLocality {
 ///
 /// All counters are integers, so reports fold and merge exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkingSetReport {
     /// Block granularity in bytes.
     pub block_size: u64,

@@ -275,8 +275,8 @@ mod tests {
     #[test]
     fn slower_work_reports_larger_times() {
         let opts = Options::quick();
-        let fast = benchmark("fast", &opts, || black_box((0..10u64).sum::<u64>()));
-        let slow = benchmark("slow", &opts, || black_box((0..10_000u64).sum::<u64>()));
+        let fast = benchmark("fast", &opts, || (0..10u64).map(black_box).sum::<u64>());
+        let slow = benchmark("slow", &opts, || (0..10_000u64).map(black_box).sum::<u64>());
         assert!(
             slow.median_ns > fast.median_ns,
             "slow {} vs fast {}",
@@ -291,8 +291,8 @@ mod tests {
             "slow",
             "fast",
             &Options::quick(),
-            || black_box((0..20_000u64).sum::<u64>()),
-            || black_box((0..1_000u64).sum::<u64>()),
+            || (0..20_000u64).map(black_box).sum::<u64>(),
+            || (0..1_000u64).map(black_box).sum::<u64>(),
         );
         assert!(
             m.ratio > 1.0,

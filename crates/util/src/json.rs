@@ -104,8 +104,8 @@ mod tests {
 
     #[test]
     fn escapes_strings_and_rejects_non_finite_floats() {
-        let s = JsonObject::new().str("k", "a\"b\\c\nd\u{1}").finish();
-        assert_eq!(s, "{\"k\":\"a\\\"b\\\\c\\nd\\u0001\"}");
+        let s = JsonObject::new().str("k", "a\"b\\c\nd\u{1}\te").finish();
+        assert_eq!(s, "{\"k\":\"a\\\"b\\\\c\\nd\\u0001\\te\"}");
         let s = JsonObject::new()
             .f64("x", f64::NAN)
             .f64("y", f64::INFINITY)

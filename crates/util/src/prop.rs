@@ -15,8 +15,11 @@
 //!
 //! * `LPMEM_PROP_CASES` — overrides the case count of every property
 //!   (e.g. `LPMEM_PROP_CASES=10000` for a soak run).
-//! * `LPMEM_PROP_SEED` — runs a *single* case with the given seed
-//!   (decimal or `0x`-hex), replaying a reported failure.
+//! * `LPMEM_PROP_SEED` — runs a *single* case with the given seed,
+//!   replaying a reported failure.
+//!
+//! Both take decimal or `0x`-hex. A set value that does not parse, or a
+//! case count of 0, panics with the variable's name and value.
 //!
 //! ```
 //! use lpmem_util::Props;
@@ -129,17 +132,48 @@ where
     Props::new(name).run(property);
 }
 
+const CASES_VAR: &str = "LPMEM_PROP_CASES";
+const SEED_VAR: &str = "LPMEM_PROP_SEED";
+
 fn env_cases() -> Option<u32> {
-    std::env::var("LPMEM_PROP_CASES").ok()?.trim().parse().ok()
+    std::env::var_os(CASES_VAR).map(|v| parse_cases(&v.to_string_lossy()))
 }
 
 fn env_seed() -> Option<u64> {
-    let raw = std::env::var("LPMEM_PROP_SEED").ok()?;
+    std::env::var_os(SEED_VAR).map(|v| parse_seed(&v.to_string_lossy()))
+}
+
+/// Parses an `LPMEM_PROP_CASES` value. A typo must not fall back to the
+/// default count, and 0 cases would pass every property vacuously.
+///
+/// # Panics
+///
+/// Panics, naming the variable and the value, unless it is a positive
+/// `u32`.
+fn parse_cases(raw: &str) -> u32 {
+    parse_number(raw)
+        .and_then(|n| u32::try_from(n).ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| panic!("{CASES_VAR}={raw:?} is not a positive case count"))
+}
+
+/// Parses an `LPMEM_PROP_SEED` value. A typo must not turn a replay into
+/// a run of the default stream.
+///
+/// # Panics
+///
+/// Panics, naming the variable and the value, unless it is a `u64`.
+fn parse_seed(raw: &str) -> u64 {
+    parse_number(raw)
+        .unwrap_or_else(|| panic!("{SEED_VAR}={raw:?} is not a seed (decimal or 0x-hex)"))
+}
+
+/// A decimal or `0x`-hex `u64`, surrounding whitespace ignored.
+fn parse_number(raw: &str) -> Option<u64> {
     let raw = raw.trim();
-    if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
+    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => raw.parse().ok(),
     }
 }
 
@@ -243,5 +277,34 @@ mod tests {
     #[should_panic(expected = "at least one case")]
     fn zero_cases_is_rejected() {
         let _ = Props::new("empty").cases(0);
+    }
+
+    #[test]
+    fn harness_variables_take_decimal_and_hex() {
+        assert_eq!(parse_cases("10000"), 10_000);
+        assert_eq!(parse_cases(" 0x10 "), 16);
+        assert_eq!(parse_seed("42"), 42);
+        assert_eq!(parse_seed("0x8c91cafe"), 0x8c91_cafe);
+        assert_eq!(parse_seed("0XFF"), 255);
+    }
+
+    #[test]
+    fn invalid_harness_variables_panic_with_name_and_value() {
+        let message = |f: &dyn Fn()| {
+            let payload = panic::catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+            payload_message(&*payload)
+        };
+        for raw in ["0", "0x0", "ten", "", "4294967296", "-1"] {
+            let m = message(&|| {
+                parse_cases(raw);
+            });
+            assert!(m.contains(&format!("LPMEM_PROP_CASES={raw:?}")), "{m}");
+        }
+        for raw in ["0xzz", "seed", "", "18446744073709551616", "0x"] {
+            let m = message(&|| {
+                parse_seed(raw);
+            });
+            assert!(m.contains(&format!("LPMEM_PROP_SEED={raw:?}")), "{m}");
+        }
     }
 }

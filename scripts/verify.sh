@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --locked --offline"
 cargo build --release --locked --offline
 
+echo "==> cargo check --all-features (no feature may fail to build)"
+cargo check --workspace --all-targets --all-features --locked --offline
+
 echo "==> cargo test -q --locked --offline --workspace"
 cargo test -q --locked --offline --workspace
 
@@ -175,8 +178,8 @@ else
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy --all-targets --locked --offline -- -D warnings"
-    cargo clippy --workspace --all-targets --locked --offline -- -D warnings
+    echo "==> cargo clippy --all-targets --all-features --locked --offline -- -D warnings"
+    cargo clippy --workspace --all-targets --all-features --locked --offline -- -D warnings
 else
     echo "==> cargo clippy not installed; skipping lint gate"
 fi
