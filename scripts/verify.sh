@@ -16,6 +16,14 @@ cargo check --workspace --all-targets --all-features --locked --offline
 echo "==> cargo test -q --locked --offline --workspace"
 cargo test -q --locked --offline --workspace
 
+echo "==> repro golden: every table's stdout is byte-identical to the committed transcript"
+# repro prints no timings, so its whole stdout is deterministic; a change
+# that moves any reproduced number must regenerate the golden on purpose:
+#   cargo run --release -p lpmem-bench --bin repro > crates/bench/tests/golden/repro.txt
+mkdir -p target
+cargo run --release --locked --offline -p lpmem-bench --bin repro >target/repro.txt
+cmp target/repro.txt crates/bench/tests/golden/repro.txt
+
 echo "==> sweep smoke (quick grid, 4 workers)"
 LPMEM_SWEEP_THREADS=4 \
     cargo run --release --locked --offline -p lpmem-bench --bin sweep -- \
