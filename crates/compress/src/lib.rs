@@ -14,9 +14,10 @@
 //! * [`DiffCodec`] — the paper's differential scheme (word deltas, zigzag,
 //!   variable-width packing), bit-exact with a decoder;
 //! * [`ZeroRunCodec`], [`FpcCodec`] — baseline codecs for ablation **A2**;
-//! * [`analyze_writebacks`] — per-line traffic statistics for a codec;
-//! * [`CompressedMemoryModel`] — tracks which lines live compressed in
-//!   memory so refills are credited too.
+//! * [`CompressedMemoryModel`] — the per-line storage decision: its
+//!   `write_back` stores an evicted line compressed or raw and returns the
+//!   beats moved, and it remembers which lines live compressed so refills
+//!   are credited too.
 //!
 //! # Example
 //!
@@ -40,4 +41,4 @@ pub mod model;
 
 pub use bits::{BitReader, BitWriter};
 pub use codec::{DiffCodec, FpcCodec, LineCodec, RawCodec, ZeroRunCodec};
-pub use model::{analyze_writebacks, CompressedMemoryModel, WritebackAnalysis};
+pub use model::CompressedMemoryModel;

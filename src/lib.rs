@@ -63,9 +63,7 @@ pub use lpmem_trace as trace;
 pub mod prelude {
     pub use lpmem_buscode::{BusInvert, RegionEncoder, XorTransform};
     pub use lpmem_cluster::{cluster_blocks, AddressMap, ClusterConfig, Objective};
-    pub use lpmem_compress::{
-        analyze_writebacks, DiffCodec, FpcCodec, LineCodec, RawCodec, ZeroRunCodec,
-    };
+    pub use lpmem_compress::{DiffCodec, FpcCodec, LineCodec, RawCodec, ZeroRunCodec};
     pub use lpmem_core::flows::buscoding::{run_buscoding, BusCodingOutcome};
     pub use lpmem_core::flows::compression::{
         run_compression_kernel, run_compression_trace, CompressionConfig, CompressionOutcome,
