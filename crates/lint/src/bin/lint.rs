@@ -9,8 +9,9 @@
 //!   directory to the first `Cargo.toml` containing `[workspace]`).
 //! * `--paths a,b`  restrict to files whose relative path starts with one
 //!   of the given prefixes.
-//! * `--rules a,b`  report only the listed rules, each with exactly its
-//!   full-run findings (the L-series meta-rules run only without it).
+//! * `--rules a,b`  report only the listed source rules, each with exactly
+//!   its full-run findings. The L-series meta-rules report only in a full
+//!   run, so naming one here is a usage error.
 //! * `--json`       emit the stable-sorted JSON array instead of text.
 //! * `--deny`       exit non-zero when any diagnostic survives — the CI
 //!   gate mode used by `scripts/verify.sh`.
@@ -22,8 +23,9 @@
 //! Output is byte-stable for a given tree: files are walked in sorted
 //! order and diagnostics sort by (path, line, rule).
 //!
-//! An unknown flag, a flag missing its value, an empty `--rules` list and
-//! an argument that is not valid UTF-8 print the usage line and exit 2.
+//! An unknown flag, a flag missing its value, an empty `--rules` list, a
+//! `--rules` id that is not a source rule and an argument that is not
+//! valid UTF-8 print the usage line and exit 2.
 //! The linter keeps its own argument loop: its crate depends on nothing,
 //! in-tree crates included.
 
@@ -31,6 +33,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use lpmem_lint::rules::is_source_rule;
 use lpmem_lint::{lint_root, render_json, render_text, Options, Report, CATALOG};
 
 fn main() -> ExitCode {
@@ -74,10 +77,11 @@ fn main() -> ExitCode {
                     if set.is_empty() {
                         return usage("--rules needs at least one rule");
                     }
-                    for r in &set {
-                        if !CATALOG.iter().any(|c| c.id == r) {
-                            return usage(&format!("unknown rule `{r}` (see --list)"));
-                        }
+                    if let Some(r) = set.iter().find(|r| !is_source_rule(r)) {
+                        return usage(&format!(
+                            "`{r}` is not a source rule (see --list; L-series \
+                             meta-rules report only without --rules)"
+                        ));
                     }
                     opts.rules = Some(set);
                 }
