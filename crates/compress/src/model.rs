@@ -27,9 +27,9 @@ impl CompressedMemoryModel {
     /// This is the per-line storage decision of the 1B.2 scheme: the line
     /// is stored compressed when its encoded size is at most
     /// `threshold_frac` of the raw line (`0.5` in the paper, so that a
-    /// compressed line occupies exactly half a line slot). Encodings above
-    /// the threshold ship raw. Callers keep `threshold_frac` within
-    /// `(0.0, 1.0]` and `line` a non-empty multiple of four bytes.
+    /// compressed line occupies exactly half a line slot) and saves at
+    /// least one beat. Other lines ship raw. Callers keep `threshold_frac`
+    /// within `(0.0, 1.0]` and `line` a non-empty multiple of four bytes.
     pub fn write_back<C: LineCodec + ?Sized>(
         &mut self,
         codec: &C,
@@ -46,8 +46,8 @@ impl CompressedMemoryModel {
         let raw_beats = line.len() / BEAT_BYTES;
         let bits = codec.compressed_bits(line);
         let threshold_bits = (line.len() * 8) as f64 * threshold_frac;
-        if (bits as f64) <= threshold_bits {
-            let beats = bits.div_ceil(BEAT_BYTES * 8).max(1);
+        let beats = bits.div_ceil(BEAT_BYTES * 8).max(1);
+        if (bits as f64) <= threshold_bits && beats < raw_beats {
             self.stored.insert(addr, beats);
             beats
         } else {
@@ -105,6 +105,19 @@ mod tests {
             assert_eq!(m.write_back(&codec, addr, &smooth_line(8), 0.75), 8);
         }
         assert_eq!(m.compressed_lines(), 0);
+    }
+
+    #[test]
+    fn a_line_that_saves_no_beat_is_stored_raw() {
+        // At threshold 1.0 a raw encoding passes the size test; it must
+        // still not count as a compressed line.
+        let codec = RawCodec::new();
+        let mut m = CompressedMemoryModel::new();
+        for addr in [0u64, 32, 64, 96] {
+            assert_eq!(m.write_back(&codec, addr, &smooth_line(8), 1.0), 8);
+        }
+        assert_eq!(m.compressed_lines(), 0);
+        assert_eq!(m.fill_beats(0, 32), 8);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::collections::BTreeSet;
 
 use lpmem_trace::Reservoir;
+use lpmem_util::prop::binomial_bounds;
 use lpmem_util::Props;
 
 #[test]
@@ -53,8 +54,8 @@ fn below_capacity_the_sample_is_the_stream() {
 fn inclusion_probability_is_uniform_within_counting_bounds() {
     // k = 8 of n = 64: every item should be kept with probability 1/8.
     // Over 2000 independent seeds the inclusion count of any fixed item
-    // is Binomial(2000, 1/8): mean 250, sd ~14.8. A +/-75 (≈5 sigma)
-    // interval is wide enough to never flake yet tight enough to catch
+    // is Binomial(2000, 1/8): mean 250, sd ~14.8. Its 5-sigma interval
+    // (250 ± 74) is wide enough to never flake yet tight enough to catch
     // position bias (early items under naive replacement would sit far
     // outside it, as would late items under no replacement: 2000 or 0).
     const K: usize = 8;
@@ -70,11 +71,11 @@ fn inclusion_probability_is_uniform_within_counting_bounds() {
             included[item as usize] += 1;
         }
     }
-    let expected = RUNS as f64 * K as f64 / f64::from(N);
+    let bounds = binomial_bounds(RUNS, K as f64 / f64::from(N), 5.0);
     for (item, &count) in included.iter().enumerate() {
         assert!(
-            (f64::from(count) - expected).abs() <= 75.0,
-            "item {item} included {count} times, expected ~{expected}"
+            bounds.contains(&f64::from(count)),
+            "item {item} included {count} times, outside {bounds:?}"
         );
     }
     // Counting cross-check: total inclusions are exactly RUNS * K.

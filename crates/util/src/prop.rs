@@ -21,6 +21,11 @@
 //! Both take decimal or `0x`-hex. A set value that does not parse, or a
 //! case count of 0, panics with the variable's name and value.
 //!
+//! Stochastic models are checked against their analytic expectation with
+//! counting bounds: [`binomial_bounds`], [`poisson_bounds`] and the
+//! [`normal_bounds`] they share give the `z`-sigma interval an observed
+//! count must fall in.
+//!
 //! ```
 //! use lpmem_util::Props;
 //!
@@ -30,6 +35,7 @@
 //! });
 //! ```
 
+use std::ops::RangeInclusive;
 use std::panic::{self, AssertUnwindSafe};
 
 use crate::rng::{Rng, SplitMix64};
@@ -130,6 +136,59 @@ where
     F: FnMut(&mut Rng),
 {
     Props::new(name).run(property);
+}
+
+/// The `z`-sigma interval `mean ± z·√variance` of a count that is a sum
+/// of many independent draws (the normal approximation).
+///
+/// ```
+/// use lpmem_util::prop::normal_bounds;
+///
+/// assert_eq!(normal_bounds(100.0, 25.0, 2.0), 90.0..=110.0);
+/// ```
+///
+/// # Panics
+///
+/// Panics unless `mean` and `variance` are finite and non-negative and
+/// `z` is positive.
+pub fn normal_bounds(mean: f64, variance: f64, z: f64) -> RangeInclusive<f64> {
+    assert!(
+        mean.is_finite() && mean >= 0.0 && variance.is_finite() && variance >= 0.0,
+        "a count needs a finite non-negative mean and variance, got {mean} and {variance}"
+    );
+    assert!(z > 0.0, "z must be positive, got {z}");
+    let half = z * variance.sqrt();
+    mean - half..=mean + half
+}
+
+/// The `z`-sigma interval of a Binomial(`trials`, `p`) count:
+/// `trials·p ± z·√(trials·p·(1−p))`.
+///
+/// ```
+/// use lpmem_util::prop::binomial_bounds;
+///
+/// // 2000 draws kept with probability 1/8: 250 ± 5·14.8.
+/// let bounds = binomial_bounds(2000, 0.125, 5.0);
+/// assert!(bounds.contains(&180.0) && !bounds.contains(&170.0));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `p` is outside `0.0..=1.0` or `z` is not positive.
+pub fn binomial_bounds(trials: u64, p: f64, z: f64) -> RangeInclusive<f64> {
+    assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
+    let n = trials as f64;
+    normal_bounds(n * p, n * p * (1.0 - p), z)
+}
+
+/// The `z`-sigma interval of a Poisson(`mean`) count, `mean ± z·√mean`:
+/// the limit of a binomial count of rare events.
+///
+/// # Panics
+///
+/// Panics unless `mean` is finite and non-negative and `z` is positive.
+pub fn poisson_bounds(mean: f64, z: f64) -> RangeInclusive<f64> {
+    normal_bounds(mean, mean, z)
 }
 
 const CASES_VAR: &str = "LPMEM_PROP_CASES";
@@ -277,6 +336,32 @@ mod tests {
     #[should_panic(expected = "at least one case")]
     fn zero_cases_is_rejected() {
         let _ = Props::new("empty").cases(0);
+    }
+
+    #[test]
+    fn counting_bounds_are_z_sigma_intervals() {
+        assert_eq!(binomial_bounds(400, 0.5, 3.0), 170.0..=230.0);
+        assert_eq!(binomial_bounds(10, 0.0, 5.0), 0.0..=0.0);
+        assert_eq!(poisson_bounds(100.0, 3.0), 70.0..=130.0);
+        assert_eq!(poisson_bounds(0.0, 5.0), 0.0..=0.0);
+        // A binomial of rare events approaches its Poisson limit.
+        let (b, p) = (
+            binomial_bounds(1 << 30, 1e-7, 5.0),
+            poisson_bounds(107.374_182_4, 5.0),
+        );
+        assert!((b.start() - p.start()).abs() < 1e-3 && (b.end() - p.end()).abs() < 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability")]
+    fn binomial_bounds_reject_a_bad_probability() {
+        let _ = binomial_bounds(10, 1.5, 5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative mean")]
+    fn poisson_bounds_reject_a_negative_mean() {
+        let _ = poisson_bounds(-1.0, 5.0);
     }
 
     #[test]
