@@ -221,21 +221,21 @@ mod tests {
             1584,
             51097.816325209176,
             17760.05034559285,
-            [29, 29, 0, 0, 0],
+            [24, 24, 0, 0, 0],
         ),
         (
             FlowSpec::Compression,
             3,
             204914.56,
             185630.31999999998,
-            [29, 29, 0, 0, 0],
+            [24, 24, 0, 0, 0],
         ),
         (
             FlowSpec::BusCoding,
             8794,
             21252.25,
             10032.46,
-            [29, 29, 0, 0, 0],
+            [24, 24, 0, 0, 0],
         ),
         (FlowSpec::Scheduling, 128, 428502412.8, 333528664.68, [0; 5]),
         (
@@ -243,7 +243,7 @@ mod tests {
             8794,
             226166.81,
             195286.963,
-            [29, 29, 0, 0, 0],
+            [24, 24, 0, 0, 0],
         ),
     ];
 

@@ -105,6 +105,24 @@ cargo run --release --locked --offline -p lpmem-bench --bin fleet -- \
     --devices 2000 --threads 2 --jsonl target/fault_plain.jsonl
 cmp target/fault_off.jsonl target/fault_plain.jsonl
 
+echo "==> fault campaign counter gate: outcome counts match BENCH_fault.json (DESIGN.md §12)"
+# The campaign's outcome counts are deterministic at any worker count, so
+# a fresh 100k-device run (about 2.5 s at 2 workers) must reproduce the
+# committed "injected" through "silent" fields exactly. Regenerate the
+# file on purpose after a model change:
+#   fleet --devices 100000 --faults secded --tech t90 --threads 1 \
+#       --bench-json BENCH_fault.json
+cargo run --release --locked --offline -p lpmem-bench --bin fleet -- \
+    --devices 100000 --faults secded --tech t90 --threads 2 \
+    --bench-json target/BENCH_fault_smoke.json >/dev/null
+fault_counts='"injected":[0-9]*,"masked":[0-9]*,"detected":[0-9]*,"corrected":[0-9]*,"silent":[0-9]*'
+expected=$(grep -o "$fault_counts" BENCH_fault.json || true)
+actual=$(grep -o "$fault_counts" target/BENCH_fault_smoke.json || true)
+if [ -z "$expected" ] || [ "$expected" != "$actual" ]; then
+    echo "fault counters drifted: committed '$expected', fresh '$actual'"
+    exit 1
+fi
+
 echo "==> cmp smoke: worker byte-identity + zero-CMP equivalence (DESIGN.md §13)"
 # CMP scenarios draw every core seed and fault flip from logical
 # coordinates, so the --cmp JSONL must be byte-identical at any worker

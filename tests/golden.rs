@@ -181,7 +181,7 @@ const GOLDEN: &[Golden] = &[
         events: 1584,
         baseline_pj: 51097.816325209176,
         optimized_pj: 17760.05034559285,
-        reliability: Some([29, 29, 0, 0, 0]),
+        reliability: Some([24, 24, 0, 0, 0]),
     },
     Golden {
         flow: FlowSpec::Compression,
@@ -194,7 +194,7 @@ const GOLDEN: &[Golden] = &[
         events: 3,
         baseline_pj: 204914.56,
         optimized_pj: 185630.31999999998,
-        reliability: Some([29, 29, 0, 0, 0]),
+        reliability: Some([24, 24, 0, 0, 0]),
     },
     Golden {
         flow: FlowSpec::BusCoding,
@@ -207,7 +207,7 @@ const GOLDEN: &[Golden] = &[
         events: 8794,
         baseline_pj: 21252.25,
         optimized_pj: 10032.46,
-        reliability: Some([29, 29, 0, 0, 0]),
+        reliability: Some([24, 24, 0, 0, 0]),
     },
     Golden {
         flow: FlowSpec::Scheduling,
@@ -233,7 +233,7 @@ const GOLDEN: &[Golden] = &[
         events: 8794,
         baseline_pj: 226166.81,
         optimized_pj: 195286.963,
-        reliability: Some([29, 29, 0, 0, 0]),
+        reliability: Some([24, 24, 0, 0, 0]),
     },
     Golden {
         flow: FlowSpec::System,
@@ -246,7 +246,7 @@ const GOLDEN: &[Golden] = &[
         events: 3463,
         baseline_pj: 613470.324001421,
         optimized_pj: 485480.566001421,
-        reliability: Some([11, 11, 0, 0, 0]),
+        reliability: Some([20, 20, 0, 0, 0]),
     },
 ];
 
