@@ -7,7 +7,10 @@
 //! repro --list      # available ids (-l)
 //! ```
 //!
-//! Unknown ids (after the known tables print) and flags exit 2.
+//! Each table carries the named shape claims of EXPERIMENTS.md. After the
+//! tables print, every claim that does not hold is named on stderr as
+//! `repro: claim failed: <id>: <claim>` and repro exits 1. Unknown ids
+//! (after the known tables print) and flags exit 2.
 
 use std::process::ExitCode;
 
@@ -23,7 +26,8 @@ fn run(args: Args) -> Result<(), String> {
     for arg in args {
         match arg.as_str() {
             "--list" | "-l" => {
-                println!("available experiments: {}", experiments::ALL_IDS.join(" "));
+                let known = experiments::EXPERIMENTS.map(|(id, _)| id);
+                println!("available experiments: {}", known.join(" "));
                 return Ok(());
             }
             _ if cli::is_flag(&arg) => return Err(cli::unknown(&arg)),
@@ -31,22 +35,32 @@ fn run(args: Args) -> Result<(), String> {
         }
     }
     if ids.is_empty() || ids.iter().any(|a| a == "all") {
-        ids = experiments::ALL_IDS.iter().map(|s| s.to_string()).collect();
+        ids = experiments::EXPERIMENTS.map(|(id, _)| id.to_owned()).into();
     }
     println!("lpmem reproduction harness (seed {})", experiments::SEED);
     println!("targets are the DATE 2003 Session 1B headline claims; see EXPERIMENTS.md\n");
     let mut unknown = Vec::new();
+    let mut failed = Vec::new();
     for id in &ids {
         match experiments::by_id(id) {
-            Some(table) => println!("{table}"),
+            Some(table) => {
+                println!("{table}");
+                failed.extend(table.failed_claims());
+            }
             None => unknown.push(id.as_str()),
         }
+    }
+    for claim in &failed {
+        eprintln!("repro: claim failed: {claim}");
     }
     if !unknown.is_empty() {
         return Err(format!(
             "unknown experiment id(s): {} (try --list)",
             unknown.join(", ")
         ));
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
     }
     Ok(())
 }

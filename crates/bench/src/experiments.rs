@@ -1,10 +1,14 @@
 //! One function per reproduced table/figure (ids match `DESIGN.md` §2).
+//!
+//! Each also records its table's named shape claims (`EXPERIMENTS.md`'s
+//! Shape) from the flow values, never from cells; `repro` checks them.
 
 use lpmem_cluster::{cluster_blocks, ClusterConfig, Objective};
 use lpmem_compress::{DiffCodec, FpcCodec, LineCodec, ZeroRunCodec};
 use lpmem_core::flows::buscoding::run_buscoding;
 use lpmem_core::flows::compression::{
-    run_compression_kernel, run_compression_trace, CompressionConfig, PlatformKind,
+    run_compression_kernel, run_compression_trace, CompressionConfig, CompressionOutcome,
+    PlatformKind,
 };
 use lpmem_core::flows::partitioning::{
     run_partitioning, run_partitioning_sleep, PartitioningConfig,
@@ -14,6 +18,7 @@ use lpmem_core::flows::system::run_system;
 use lpmem_core::workloads::{composite_suite, kernel_trace_and_image, scattered_suite};
 use lpmem_energy::Technology;
 use lpmem_isa::Kernel;
+use lpmem_mem::FlatMemory;
 use lpmem_partition::{greedy_partition, optimal_partition, Partition, PartitionCost};
 use lpmem_sched::SchedPlatform;
 use lpmem_trace::{BlockProfile, Trace};
@@ -27,13 +32,34 @@ fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// T1 workloads: composite embedded applications (kernel phases with a
-/// linker-interleaved object layout) plus the scattered synthetic
+fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// The largest of `xs`, or 0 when every value is negative.
+fn peak(xs: &[f64]) -> f64 {
+    xs.iter().cloned().fold(0.0, f64::max)
+}
+
+/// Whether some point of a sweep is strictly `better` than both of its
+/// end points, i.e. the sweep's optimum lies strictly inside it.
+fn interior_optimum<T: Copy>(xs: &[T], better: impl Fn(T, T) -> bool) -> bool {
+    let (first, last) = (xs[0], xs[xs.len() - 1]);
+    xs.iter().any(|&x| better(x, first) && better(x, last))
+}
+
+/// T1 workload suites: composite embedded applications (kernel phases
+/// with a linker-interleaved object layout) and the scattered synthetic
 /// profiles — the workload class of the 1B.1 evaluation.
+fn t1_suites() -> [(&'static str, Vec<(String, Trace)>); 2] {
+    let composite = composite_suite(SEED).expect("kernels are self-verifying");
+    let scattered = scattered_suite(SEED);
+    [("composite", composite), ("scattered", scattered)]
+}
+
+/// The workloads of both T1 suites, in table order.
 fn t1_workloads() -> Vec<(String, Trace)> {
-    let mut out = composite_suite(SEED).expect("kernels are self-verifying");
-    out.extend(scattered_suite(SEED));
-    out
+    t1_suites().into_iter().flat_map(|(_, s)| s).collect()
 }
 
 /// Kernel scales used by the compression experiments: large enough that
@@ -49,6 +75,18 @@ fn t2_kernels() -> Vec<(Kernel, u32)> {
         (Kernel::RleEncode, 320),
         (Kernel::Conv2d, 48),
     ]
+}
+
+/// The compression flow on the VLIW platform over a kernel's captured
+/// trace and the memory image it ran against.
+fn vliw_compression(
+    kernel: Kernel,
+    (trace, image): &(Trace, FlatMemory),
+    codec: &dyn LineCodec,
+    cfg: &CompressionConfig,
+) -> CompressionOutcome {
+    let (name, tech) = (kernel.name(), PlatformKind::VliwLike.technology());
+    run_compression_trace(name, "vliw-lx", trace, image.clone(), codec, cfg, &tech).expect("flow")
 }
 
 /// **T1** — 1B.1 headline: energy of monolithic vs. partitioned vs.
@@ -70,24 +108,33 @@ pub fn t1() -> Table {
         ],
     );
     let mut reductions = Vec::new();
-    for (name, trace) in t1_workloads() {
-        let out = run_partitioning(&name, &trace, &cfg, &tech).expect("flow");
-        reductions.push(out.reduction_vs_partitioned());
-        table.push_row(vec![
-            name,
-            out.monolithic.to_string(),
-            out.partitioned.to_string(),
-            out.clustered.to_string(),
-            format!("{}", out.clustered_banks),
-            pct(out.reduction_vs_partitioned()),
-        ]);
+    for (suite, workloads) in t1_suites() {
+        let mut ordered = true;
+        let mut ours = Vec::new();
+        for (name, trace) in workloads {
+            let out = run_partitioning(&name, &trace, &cfg, &tech).expect("flow");
+            ordered &= out.clustered <= out.partitioned && out.partitioned <= out.monolithic;
+            ours.push(out.reduction_vs_partitioned());
+            table.push_row(vec![
+                name,
+                out.monolithic.to_string(),
+                out.partitioned.to_string(),
+                out.clustered.to_string(),
+                format!("{}", out.clustered_banks),
+                pct(out.reduction_vs_partitioned()),
+            ]);
+        }
+        let (avg, max) = (mean(&ours), peak(&ours));
+        let ordering = format!("{suite}: clustered <= partitioned <= monolithic everywhere");
+        table.claim(ordering, ordered);
+        table.claim(format!("{suite}: average reduction > 10%"), avg > 0.10);
+        table.claim(format!("{suite}: maximum reduction > 35%"), max > 0.35);
+        reductions.extend(ours);
     }
-    let avg = reductions.iter().sum::<f64>() / reductions.len() as f64;
-    let max = reductions.iter().cloned().fold(0.0, f64::max);
     table.note(format!(
         "average reduction {} | maximum {}",
-        pct(avg),
-        pct(max)
+        pct(mean(&reductions)),
+        pct(peak(&reductions))
     ));
     table
 }
@@ -102,12 +149,16 @@ pub fn f1a() -> Table {
         vec!["max_banks", "partitioned", "clustered", "reduction"],
     );
     let (_, trace) = scattered_suite(SEED).remove(1);
+    let mut below = true;
+    let mut partitioned = Vec::new();
     for max_banks in [1usize, 2, 4, 6, 8, 12, 16] {
         let cfg = PartitioningConfig {
             max_banks,
             ..Default::default()
         };
         let out = run_partitioning("scatter-medium", &trace, &cfg, &tech).expect("flow");
+        below &= out.clustered <= out.partitioned;
+        partitioned.push(out.partitioned);
         table.push_row(vec![
             max_banks.to_string(),
             out.partitioned.to_string(),
@@ -115,6 +166,9 @@ pub fn f1a() -> Table {
             pct(out.reduction_vs_partitioned()),
         ]);
     }
+    let falls = partitioned.windows(2).all(|w| w[1] <= w[0]);
+    table.claim("clustered <= partitioned at every bank count", below);
+    table.claim("partitioned is non-increasing in bank count", falls);
     table
 }
 
@@ -134,12 +188,14 @@ pub fn f1b() -> Table {
         ],
     );
     let (_, trace) = scattered_suite(SEED).remove(1);
+    let mut gain = f64::NAN;
     for block_size in [256u64, 512, 1024, 2048, 4096, 8192, 16384] {
         let cfg = PartitioningConfig {
             block_size,
             ..Default::default()
         };
         let out = run_partitioning("scatter-medium", &trace, &cfg, &tech).expect("flow");
+        gain = out.reduction_vs_partitioned();
         table.push_row(vec![
             block_size.to_string(),
             out.blocks.to_string(),
@@ -148,6 +204,7 @@ pub fn f1b() -> Table {
             pct(out.reduction_vs_partitioned()),
         ]);
     }
+    table.claim("the gain is 0 at the coarsest blocks", gain == 0.0);
     table
 }
 
@@ -168,10 +225,8 @@ pub fn t2() -> Table {
             "saving",
         ],
     );
-    let mut per_platform: Vec<(String, Vec<f64>)> = vec![
-        ("vliw-lx".to_owned(), Vec::new()),
-        ("risc-mips".to_owned(), Vec::new()),
-    ];
+    // Per platform: name, the floor every saving must clear, savings.
+    let mut per_platform = [("vliw-lx", 0.05, vec![]), ("risc-mips", 0.02, vec![])];
     let codec = DiffCodec::new();
     for (kernel, scale) in t2_kernels() {
         for (pi, platform) in [PlatformKind::VliwLike, PlatformKind::RiscLike]
@@ -179,7 +234,7 @@ pub fn t2() -> Table {
             .enumerate()
         {
             let out = run_compression_kernel(kernel, scale, SEED, platform, &codec).expect("flow");
-            per_platform[pi].1.push(out.energy_saving());
+            per_platform[pi].2.push(out.energy_saving());
             table.push_row(vec![
                 kernel.name().to_owned(),
                 platform.name().to_owned(),
@@ -191,8 +246,9 @@ pub fn t2() -> Table {
             ]);
         }
     }
-    for (name, savings) in per_platform {
-        let avg = savings.iter().sum::<f64>() / savings.len() as f64;
+    let mut averages = Vec::new();
+    for (name, floor, savings) in per_platform {
+        let avg = mean(&savings);
         let lo = savings.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = savings.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         table.note(format!(
@@ -201,7 +257,11 @@ pub fn t2() -> Table {
             pct(hi),
             pct(avg)
         ));
+        table.claim(format!("every {name} saving > {}", pct(floor)), lo > floor);
+        averages.push(avg);
     }
+    let vliw_leads = averages[0] > averages[1];
+    table.claim("vliw-lx average saving > risc-mips average", vliw_leads);
     table
 }
 
@@ -214,20 +274,22 @@ pub fn f2a() -> Table {
         vec!["cache KiB", "fir saving", "dct8 saving"],
     );
     let codec = DiffCodec::new();
-    let tech = PlatformKind::VliwLike.technology();
+    let runs = [(Kernel::Fir, 640u32), (Kernel::Dct8, 160)]
+        .map(|(k, scale)| (k, kernel_trace_and_image(k, scale, SEED).expect("kernel")));
+    let mut savings = [Vec::new(), Vec::new()];
     for kib in [1u64, 2, 4, 8, 16, 32] {
+        let mut cfg = CompressionConfig::for_platform(PlatformKind::VliwLike);
+        cfg.cache = lpmem_mem::CacheConfig::new(kib << 10, 64, 2).expect("geometry");
         let mut row = vec![kib.to_string()];
-        for (kernel, scale) in [(Kernel::Fir, 640u32), (Kernel::Dct8, 160)] {
-            let (trace, image) = kernel_trace_and_image(kernel, scale, SEED).expect("kernel");
-            let mut cfg = CompressionConfig::for_platform(PlatformKind::VliwLike);
-            cfg.cache = lpmem_mem::CacheConfig::new(kib << 10, 64, 2).expect("geometry");
-            let out =
-                run_compression_trace(kernel.name(), "vliw-lx", &trace, image, &codec, &cfg, &tech)
-                    .expect("flow");
+        for ((kernel, run), series) in runs.iter().zip(&mut savings) {
+            let out = vliw_compression(*kernel, run, &codec, &cfg);
+            series.push(out.energy_saving());
             row.push(pct(out.energy_saving()));
         }
         table.push_row(row);
     }
+    let falls = savings.iter().all(|s| s.windows(2).all(|w| w[1] <= w[0]));
+    table.claim("both savings are non-increasing in cache size", falls);
     table
 }
 
@@ -240,6 +302,7 @@ pub fn f2b() -> Table {
         vec!["workload", "<=4", "5-8", "9-12", "13-15", "16 (raw)"],
     );
     let codec = DiffCodec::new();
+    let mut most_below = true;
     for (kernel, scale) in t2_kernels() {
         let out = run_compression_kernel(kernel, scale, SEED, PlatformKind::VliwLike, &codec)
             .expect("flow");
@@ -247,15 +310,18 @@ pub fn f2b() -> Table {
         let bucket = |lo: usize, hi: usize| -> u64 {
             (lo..=hi).map(|b| h.get(b).copied().unwrap_or(0)).sum()
         };
+        let raw = bucket(16, h.len().saturating_sub(1).max(16));
+        most_below &= 2 * raw < h.iter().sum::<u64>();
         table.push_row(vec![
             kernel.name().to_owned(),
             bucket(0, 4).to_string(),
             bucket(5, 8).to_string(),
             bucket(9, 12).to_string(),
             bucket(13, 15).to_string(),
-            bucket(16, h.len().saturating_sub(1).max(16)).to_string(),
+            raw.to_string(),
         ]);
     }
+    table.claim("every kernel stores most lines below 16 beats", most_below);
     table
 }
 
@@ -277,10 +343,12 @@ pub fn t3() -> Table {
         ],
     );
     let mut reductions = Vec::new();
+    let mut beats_bi = true;
     for &kernel in &Kernel::ALL {
         let run = kernel.run(kernel.default_scale(), SEED).expect("kernel");
         let out = run_buscoding(kernel.name(), &run.trace, 4, &tech).expect("flow");
         reductions.push(out.reduction());
+        beats_bi &= out.encoded_transitions < out.businvert_transitions;
         table.push_row(vec![
             kernel.name().to_owned(),
             out.fetches.to_string(),
@@ -291,13 +359,14 @@ pub fn t3() -> Table {
             pct(out.businvert_reduction()),
         ]);
     }
-    let avg = reductions.iter().sum::<f64>() / reductions.len() as f64;
-    let max = reductions.iter().cloned().fold(0.0, f64::max);
     table.note(format!(
         "average reduction {} | maximum {}",
-        pct(avg),
-        pct(max)
+        pct(mean(&reductions)),
+        pct(peak(&reductions))
     ));
+    let all_cut = reductions.iter().all(|&r| r > 0.40);
+    table.claim("every kernel reduces transitions by > 40%", all_cut);
+    table.claim("encoded < bus-invert on every kernel", beats_bi);
     table
 }
 
@@ -314,14 +383,18 @@ pub fn f3a() -> Table {
         .iter()
         .map(|&k| k.run(k.default_scale(), SEED).expect("kernel"))
         .collect();
+    let mut reductions = vec![Vec::new(); runs.len()];
     for regions in [1usize, 2, 4, 8, 16] {
         let mut row = vec![regions.to_string()];
-        for run in &runs {
+        for (run, series) in runs.iter().zip(&mut reductions) {
             let out = run_buscoding(run.kernel.name(), &run.trace, regions, &tech).expect("flow");
+            series.push(out.reduction());
             row.push(pct(out.reduction()));
         }
         table.push_row(row);
     }
+    let interior = reductions.iter().all(|s| interior_optimum(s, |a, b| a > b));
+    table.claim("each kernel's best region count is interior", interior);
     table
 }
 
@@ -335,6 +408,7 @@ pub fn f3b() -> Table {
         "gray cuts sequential-run transitions; T0 nearly eliminates them",
         vec!["workload", "binary", "gray", "t0", "gray red.", "t0 red."],
     );
+    let (mut gray_wins, mut t0_wins) = (true, true);
     for &kernel in &Kernel::ALL {
         let run = kernel.run(kernel.default_scale(), SEED).expect("kernel");
         // The fetch bus drives word addresses (instructions are aligned).
@@ -347,6 +421,8 @@ pub fn f3b() -> Table {
         let bin = lpmem_buscode::addrbus::binary_transitions(&addrs);
         let gray = lpmem_buscode::addrbus::gray_transitions(&addrs);
         let t0 = lpmem_buscode::addrbus::T0Encoder::transitions(1, &addrs);
+        gray_wins &= gray < bin;
+        t0_wins &= t0 < gray;
         let red = |x: u64| {
             if bin == 0 {
                 0.0
@@ -363,6 +439,8 @@ pub fn f3b() -> Table {
             pct(red(t0)),
         ]);
     }
+    table.claim("gray < binary on every kernel", gray_wins);
+    table.claim("T0 < gray on every kernel", t0_wins);
     table
 }
 
@@ -384,10 +462,13 @@ pub fn t4() -> Table {
         ],
     );
     let mut savings = Vec::new();
+    let (mut ordered, mut paid) = (true, false);
     for seed in 0..6u64 {
         let app = dsp_pipeline_app(4, 32, seed).expect("builder");
         let out = run_scheduling(&format!("dsp-{seed}"), &app, &platform).expect("flow");
+        ordered &= out.greedy <= out.naive && out.greedy < out.external_only;
         savings.push(out.saving_vs_naive());
+        paid |= out.reconfig_saving() > 0.30;
         table.push_row(vec![
             out.name.clone(),
             out.external_only.to_string(),
@@ -397,8 +478,11 @@ pub fn t4() -> Table {
             pct(out.reconfig_saving()),
         ]);
     }
-    let avg = savings.iter().sum::<f64>() / savings.len() as f64;
+    let avg = mean(&savings);
     table.note(format!("average saving vs naive {}", pct(avg)));
+    table.claim("greedy <= naive, greedy < external on every app", ordered);
+    table.claim("average saving > 5%", avg > 0.05);
+    table.claim("some reconfiguration saving > 30%", paid);
     table
 }
 
@@ -412,15 +496,19 @@ pub fn f4a() -> Table {
         vec!["L0 bytes", "greedy", "saving vs naive"],
     );
     let app = dsp_pipeline_app(4, 32, 1).expect("builder");
+    let mut greedy = Vec::new();
     for l0 in [256u64, 512, 1024, 2048, 4096] {
         let platform = SchedPlatform::new(&tech, l0, 16 << 10);
         let out = run_scheduling("dsp-1", &app, &platform).expect("flow");
+        greedy.push(out.greedy);
         table.push_row(vec![
             l0.to_string(),
             out.greedy.to_string(),
             pct(out.saving_vs_naive()),
         ]);
     }
+    let interior = interior_optimum(&greedy, |a, b| a < b);
+    table.claim("the greedy optimum is at an interior L0 size", interior);
     table
 }
 
@@ -466,30 +554,25 @@ pub fn a2() -> Table {
         vec!["workload", "diff", "zero", "fpc"],
     );
     let codecs: [&dyn LineCodec; 3] = [&DiffCodec::new(), &ZeroRunCodec::new(), &FpcCodec::new()];
-    let platform = PlatformKind::VliwLike;
-    let cfg = CompressionConfig::for_platform(platform);
-    let tech = platform.technology();
+    let cfg = CompressionConfig::for_platform(PlatformKind::VliwLike);
     let line_beats = cfg.cache.line_bytes() as u64 / 4;
+    let mut zero_trails = true;
     for (kernel, scale) in t2_kernels() {
-        let (trace, image) = kernel_trace_and_image(kernel, scale, SEED).expect("kernel");
-        let mut row = vec![kernel.name().to_owned()];
-        for codec in codecs {
-            let out = run_compression_trace(
-                kernel.name(),
-                platform.name(),
-                &trace,
-                image.clone(),
-                codec,
-                &cfg,
-                &tech,
-            )
-            .expect("flow");
+        let run = kernel_trace_and_image(kernel, scale, SEED).expect("kernel");
+        let [diff, zero, fpc] = codecs.map(|codec| {
+            let out = vliw_compression(kernel, &run, codec, &cfg);
             let stored: u64 = (0u64..).zip(&out.size_histogram).map(|(i, n)| i * n).sum();
-            let raw = out.lines * line_beats;
-            row.push(pct(1.0 - stored as f64 / raw as f64));
-        }
-        table.push_row(row);
+            1.0 - stored as f64 / (out.lines * line_beats) as f64
+        });
+        zero_trails &= zero < diff.max(fpc);
+        table.push_row(vec![
+            kernel.name().to_owned(),
+            pct(diff),
+            pct(zero),
+            pct(fpc),
+        ]);
     }
+    table.claim("zero-elimination never leads", zero_trails);
     table
 }
 
@@ -503,13 +586,14 @@ pub fn a3() -> Table {
         "DP is exact; greedy should be close but never better",
         vec!["workload", "monolithic", "greedy", "optimal"],
     );
+    let mut dp_wins = true;
     for (name, trace) in t1_workloads() {
         let data = trace.data_only();
         let profile = BlockProfile::from_trace(&data, 2048).expect("profile");
         let mono = cost.evaluate(&profile, &Partition::monolithic(profile.num_blocks()));
         let (_, greedy) = greedy_partition(&profile, 8, &cost);
         let (_, optimal) = optimal_partition(&profile, 8, &cost);
-        assert!(optimal.total().as_pj() <= greedy.total().as_pj() + 1e-6);
+        dp_wins &= optimal.total().as_pj() <= greedy.total().as_pj() + 1e-6;
         table.push_row(vec![
             name,
             mono.total().to_string(),
@@ -517,6 +601,7 @@ pub fn a3() -> Table {
             optimal.total().to_string(),
         ]);
     }
+    table.claim("DP never loses to greedy", dp_wins);
     table
 }
 
@@ -530,21 +615,13 @@ pub fn f2c() -> Table {
         vec!["threshold", "compressed lines", "beats", "saving"],
     );
     let codec = DiffCodec::new();
-    let tech = PlatformKind::VliwLike.technology();
-    let (trace, image) = kernel_trace_and_image(Kernel::Dct8, 160, SEED).expect("kernel");
+    let run = kernel_trace_and_image(Kernel::Dct8, 160, SEED).expect("kernel");
+    let mut savings = Vec::new();
     for threshold in [0.25f64, 0.5, 0.625, 0.75, 0.875, 1.0] {
         let mut cfg = CompressionConfig::for_platform(PlatformKind::VliwLike);
         cfg.threshold = threshold;
-        let out = run_compression_trace(
-            "dct8",
-            "vliw-lx",
-            &trace,
-            image.clone(),
-            &codec,
-            &cfg,
-            &tech,
-        )
-        .expect("flow");
+        let out = vliw_compression(Kernel::Dct8, &run, &codec, &cfg);
+        savings.push(out.energy_saving());
         table.push_row(vec![
             format!("{threshold:.3}"),
             out.compressed_lines.to_string(),
@@ -552,6 +629,10 @@ pub fn f2c() -> Table {
             pct(out.energy_saving()),
         ]);
     }
+    let rises = savings.windows(2).all(|w| w[0] <= w[1]);
+    let half_is_max = savings[1] >= peak(&savings); // savings[1]: threshold 0.5
+    table.claim("saving is non-decreasing in threshold", rises);
+    table.claim("threshold 0.5 already reaches the maximum", half_is_max);
     table
 }
 
@@ -588,8 +669,10 @@ affinity must beat frequency-only on phase-scattered, heat-uniform workloads",
         })
         .collect();
     workloads.extend(t1_workloads().into_iter().take(4)); // composite apps
+    let mut wins = true;
     for (name, trace) in workloads {
         let out = run_partitioning_sleep(&name, &trace, &cfg, &tech, 64).expect("flow");
+        wins &= !name.starts_with("phase-scatter") || out.affinity < out.freq_only;
         table.push_row(vec![
             name,
             out.partitioned.to_string(),
@@ -600,6 +683,7 @@ affinity must beat frequency-only on phase-scattered, heat-uniform workloads",
             format!("{:.2}", out.sleep_fractions[2]),
         ]);
     }
+    table.claim("affinity beats freq-only on every phase-scatter", wins);
     table
 }
 
@@ -623,6 +707,7 @@ pub fn a5() -> Table {
             "energy red.",
         ],
     );
+    let mut negligible = true;
     for (name, trace) in t1_workloads() {
         let data = trace.data_only();
         let profile = BlockProfile::from_trace(&data, cfg.block_size).expect("profile");
@@ -636,6 +721,7 @@ pub fn a5() -> Table {
         let banked = clustered_area.total_mm2();
         clustered_area.add("relocation.table", map.table_area_mm2(&tech));
         let with_table = clustered_area.total_mm2();
+        negligible &= with_table - banked < 0.01 * banked;
         let out = run_partitioning(&name, &trace, &cfg, &tech).expect("flow");
         table.push_row(vec![
             name,
@@ -646,6 +732,7 @@ pub fn a5() -> Table {
             pct(out.reduction_vs_monolithic()),
         ]);
     }
+    table.claim("the relocation table is < 1% of banked area", negligible);
     table
 }
 
@@ -666,9 +753,14 @@ pub fn sys() -> Table {
     );
     let codec = DiffCodec::new();
     let mut savings = Vec::new();
+    let mut pays = true;
     for (kernel, scale) in t2_kernels() {
         let out = run_system(kernel, scale, SEED, PlatformKind::VliwLike, &codec, 4).expect("flow");
         savings.push(out.saving());
+        // The optimized report is compression's plus the encoded bus and its
+        // gates, so a net ibus saving means combined beats compression alone.
+        pays &= out.baseline.component("ibus")
+            > out.optimized.component("ibus") + out.optimized.component("ibus.codec");
         table.push_row(vec![
             kernel.name().to_owned(),
             out.baseline.total().to_string(),
@@ -677,44 +769,48 @@ pub fn sys() -> Table {
             pct(out.saving()),
         ]);
     }
-    let avg = savings.iter().sum::<f64>() / savings.len() as f64;
     table.note(format!(
         "average combined memory-system saving {}",
-        pct(avg)
+        pct(mean(&savings))
     ));
+    table.claim("ibus saving net of ibus.codec > 0 on every kernel", pays);
+    let all_save = savings.iter().all(|&s| s > 0.0);
+    table.claim("combined saving > 0 on every kernel", all_save);
     table
 }
 
-/// Looks up one experiment by id (case-insensitive).
-pub fn by_id(id: &str) -> Option<Table> {
-    match id.to_ascii_lowercase().as_str() {
-        "t1" => Some(t1()),
-        "f1a" => Some(f1a()),
-        "f1b" => Some(f1b()),
-        "t2" => Some(t2()),
-        "f2a" => Some(f2a()),
-        "f2b" => Some(f2b()),
-        "f2c" => Some(f2c()),
-        "t3" => Some(t3()),
-        "f3a" => Some(f3a()),
-        "f3b" => Some(f3b()),
-        "t4" => Some(t4()),
-        "f4a" => Some(f4a()),
-        "a1" => Some(a1()),
-        "a2" => Some(a2()),
-        "a3" => Some(a3()),
-        "a4" => Some(a4()),
-        "a5" => Some(a5()),
-        "sys" => Some(sys()),
-        _ => None,
-    }
-}
+/// Builds one experiment's table, with its claims.
+pub type Experiment = fn() -> Table;
 
-/// Ids accepted by [`by_id`].
-pub const ALL_IDS: [&str; 18] = [
-    "t1", "f1a", "f1b", "t2", "f2a", "f2b", "f2c", "t3", "f3a", "f3b", "t4", "f4a", "a1", "a2",
-    "a3", "a4", "a5", "sys",
+/// Every experiment as `(id, function)`, in `repro` order.
+pub const EXPERIMENTS: [(&str, Experiment); 18] = [
+    ("t1", t1),
+    ("f1a", f1a),
+    ("f1b", f1b),
+    ("t2", t2),
+    ("f2a", f2a),
+    ("f2b", f2b),
+    ("f2c", f2c),
+    ("t3", t3),
+    ("f3a", f3a),
+    ("f3b", f3b),
+    ("t4", t4),
+    ("f4a", f4a),
+    ("a1", a1),
+    ("a2", a2),
+    ("a3", a3),
+    ("a4", a4),
+    ("a5", a5),
+    ("sys", sys),
 ];
+
+/// Runs one experiment by id (case-insensitive).
+pub fn by_id(id: &str) -> Option<Table> {
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case(id))?;
+    Some(run())
+}
 
 #[cfg(test)]
 mod tests {
@@ -722,28 +818,9 @@ mod tests {
 
     #[test]
     fn all_ids_are_unique_and_known() {
-        let set: std::collections::HashSet<_> = ALL_IDS.iter().collect();
-        assert_eq!(set.len(), ALL_IDS.len());
+        let set: std::collections::HashSet<_> = EXPERIMENTS.iter().map(|(id, _)| id).collect();
+        assert_eq!(set.len(), EXPERIMENTS.len());
         assert!(by_id("nonsense").is_none());
         assert!(by_id("T4").is_some(), "lookup is case-insensitive");
-    }
-
-    #[test]
-    fn t4_table_is_well_formed() {
-        let t = t4();
-        assert_eq!(t.id, "T4");
-        assert_eq!(t.rows.len(), 6);
-        assert!(t.rows.iter().all(|r| r.len() == t.header.len()));
-        assert!(!t.notes.is_empty());
-        // Savings column parses as percentages.
-        assert!(!t.column_f64(4).is_empty());
-    }
-
-    #[test]
-    fn f4a_sweeps_l0_capacity() {
-        let t = f4a();
-        assert_eq!(t.rows.len(), 5);
-        let l0: Vec<f64> = t.column_f64(0);
-        assert!(l0.windows(2).all(|w| w[0] < w[1]), "L0 column ascends");
     }
 }

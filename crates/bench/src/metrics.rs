@@ -298,7 +298,7 @@ mod tests {
         assert!(ft.to_string().contains("system"));
         let lt = m.latency_table();
         assert_eq!(lt.rows.len(), NUM_BUCKETS);
-        let counted: u64 = lt.column_f64(1).iter().map(|&v| v as u64).sum();
+        let counted: u64 = lt.rows.iter().map(|r| r[1].parse::<u64>().unwrap()).sum();
         assert_eq!(counted, 1);
     }
 

@@ -17,6 +17,8 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// Summary lines (averages, maxima, verdicts).
     pub notes: Vec<String>,
+    /// Named shape claims and whether each holds (checked, not rendered).
+    pub claims: Vec<(String, bool)>,
 }
 
 impl Table {
@@ -34,6 +36,7 @@ impl Table {
             header: header.into_iter().map(str::to_owned).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -57,21 +60,15 @@ impl Table {
         self.notes.push(note.into());
     }
 
-    /// Value at `(row, col)` parsed as `f64` (for tests).
-    pub fn cell_f64(&self, row: usize, col: usize) -> Option<f64> {
-        self.rows
-            .get(row)?
-            .get(col)?
-            .trim_end_matches('%')
-            .parse()
-            .ok()
+    /// Records a named shape claim and whether it holds.
+    pub fn claim(&mut self, name: impl Into<String>, holds: bool) {
+        self.claims.push((name.into(), holds));
     }
 
-    /// Parses an entire column as `f64`, skipping unparsable cells.
-    pub fn column_f64(&self, col: usize) -> Vec<f64> {
-        (0..self.rows.len())
-            .filter_map(|r| self.cell_f64(r, col))
-            .collect()
+    /// The claims that do not hold, each as `<id>: <name>`.
+    pub fn failed_claims(&self) -> impl Iterator<Item = String> + '_ {
+        let failed = self.claims.iter().filter(|(_, holds)| !holds);
+        failed.map(|(name, _)| format!("{}: {name}", self.id))
     }
 }
 
@@ -119,21 +116,21 @@ mod tests {
     }
 
     #[test]
-    fn cells_parse_as_floats() {
-        let t = sample();
-        assert_eq!(t.cell_f64(0, 1), Some(1.5));
-        assert_eq!(t.cell_f64(1, 1), Some(25.0)); // '%' stripped
-        assert_eq!(t.cell_f64(0, 0), None);
-        assert_eq!(t.column_f64(1), vec![1.5, 25.0]);
-    }
-
-    #[test]
     fn display_contains_everything() {
         let s = sample().to_string();
         assert!(s.contains("T0"));
         assert!(s.contains("name"));
         assert!(s.contains("25.0%"));
         assert!(s.contains(">> done"));
+    }
+
+    #[test]
+    fn false_claims_are_reported_by_table_id_and_name() {
+        let mut t = sample();
+        t.claim("values ascend", true);
+        t.claim("a leads", false);
+        assert_eq!(t.failed_claims().collect::<Vec<_>>(), ["T0: a leads"]);
+        assert_eq!(t.to_string(), sample().to_string()); // claims are not rendered
     }
 
     #[test]

@@ -144,6 +144,18 @@ fn sweep_flags_apply_in_any_order() {
 }
 
 #[test]
+fn repro_prints_any_subset_as_in_the_golden_and_exits_quietly() {
+    let want: String = include_str!("golden/repro.txt")
+        .split_inclusive("\n\n")
+        .filter(|t| !t.starts_with("== ") || t.starts_with("== T4 ") || t.starts_with("== F4a "))
+        .collect();
+    let out = run(REPRO, &["t4", "f4a"]);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "", "no claim fails");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(stdout(&out), want);
+}
+
+#[test]
 fn positional_arguments_may_follow_options() {
     let out = run(CLI, &["run", "--scale", "4", "fir"]);
     assert!(

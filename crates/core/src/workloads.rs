@@ -2,26 +2,13 @@
 //! the per-device workload archetypes and mixes the fleet simulator draws
 //! from (DESIGN.md §11).
 
-use lpmem_isa::{Backend, Kernel, KernelRun, Machine};
+use lpmem_isa::{Backend, Kernel, Machine};
 use lpmem_mem::FlatMemory;
 use lpmem_trace::gen::{HotColdGen, MarkovGen, PhaseScatterGen, PointerChaseGen, StridedGen};
 use lpmem_trace::{MemEvent, Trace};
 use lpmem_util::Rng;
 
 use crate::FlowError;
-
-/// Runs the full TinyRISC kernel suite at default scales.
-///
-/// # Errors
-///
-/// Propagates kernel execution errors (never expected: the kernels are
-/// self-verifying).
-pub fn kernel_suite(seed: u64) -> Result<Vec<KernelRun>, FlowError> {
-    Kernel::ALL
-        .iter()
-        .map(|&k| k.run(k.default_scale(), seed).map_err(FlowError::from))
-        .collect()
-}
 
 /// Runs and verifies a kernel once, returning its trace together with the
 /// program's initial memory image (the state a replay cache must start
@@ -361,13 +348,6 @@ impl WorkloadMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_suite_runs_everything() {
-        let runs = kernel_suite(1).unwrap();
-        assert_eq!(runs.len(), Kernel::ALL.len());
-        assert!(runs.iter().all(|r| !r.trace.is_empty()));
-    }
 
     #[test]
     fn composite_apps_have_scattered_heat() {

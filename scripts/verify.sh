@@ -20,6 +20,9 @@ echo "==> repro golden: every table's stdout is byte-identical to the committed 
 # repro prints no timings, so its whole stdout is deterministic; a change
 # that moves any reproduced number must regenerate the golden on purpose:
 #   cargo run --release -p lpmem-bench --bin repro > crates/bench/tests/golden/repro.txt
+# The same run also gates the reproduction's shape: every table checks the
+# named claims of its EXPERIMENTS.md Shape, and repro exits 1 naming each
+# one that fails (`repro: claim failed: F4a: ...`), which stops this script.
 mkdir -p target
 cargo run --release --locked --offline -p lpmem-bench --bin repro >target/repro.txt
 cmp target/repro.txt crates/bench/tests/golden/repro.txt

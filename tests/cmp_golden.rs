@@ -13,10 +13,8 @@
 //! cmp_golden -- --nocapture`) and paste the printed rows over `GOLDEN`.
 
 use lpmem::prelude::*;
+use lpmem_bench::experiments::SEED;
 use lpmem_bench::sweep::{run_sweep, SweepGrid};
-
-/// The fixed seed of the reproduction harness (`experiments::SEED`).
-const SEED: u64 = 2003;
 
 /// One pinned CMP grid point: inputs plus the exact expected outputs.
 struct Golden {

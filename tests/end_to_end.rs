@@ -1,132 +1,55 @@
 //! End-to-end reproduction checks: the headline *shapes* of all four
-//! DATE 2003 Session 1B results must hold on small instances.
+//! DATE 2003 Session 1B results, and of the capstone that composes them,
+//! must hold. Each test builds the `repro` table and requires the named
+//! claims it carries; the claims themselves live with the experiments.
 
-use lpmem::core::workloads::{composite_suite, scattered_suite};
-use lpmem::prelude::*;
+use std::sync::OnceLock;
 
-/// The fixed seed of the reproduction harness (`experiments::SEED`).
-const SEED: u64 = 2003;
+use lpmem_bench::{experiments, Table};
 
-/// The T1 shape, per workload suite: clustering never hurts, partitioning
-/// never loses to the monolith, and the average/maximum clustering
-/// reductions are in the paper's order of magnitude (avg 25%, max 57%).
-fn assert_t1_shape(suite: &str, workloads: Vec<(String, Trace)>) {
-    let tech = Technology::tech180();
-    let cfg = PartitioningConfig::default();
-    let mut reductions = Vec::new();
-    for (name, trace) in workloads {
-        let out = run_partitioning(&name, &trace, &cfg, &tech).expect("flow");
-        // Clustering must never hurt (it is rejected when unprofitable).
-        assert!(out.clustered <= out.partitioned, "{suite}/{name}");
-        // Partitioning itself must never lose to the monolith.
-        assert!(out.partitioned <= out.monolithic, "{suite}/{name}");
-        reductions.push(out.reduction_vs_partitioned());
+/// Requires `table` to carry at least one claim starting with `prefix`,
+/// and every such claim to hold.
+fn assert_claims(table: &Table, prefix: &str) {
+    let mut checked = 0;
+    for (name, holds) in table.claims.iter().filter(|(n, _)| n.starts_with(prefix)) {
+        assert!(*holds, "{}: claim failed: {name}", table.id);
+        checked += 1;
     }
-    let avg = reductions.iter().sum::<f64>() / reductions.len() as f64;
-    let max = reductions.iter().cloned().fold(0.0, f64::max);
-    assert!(
-        avg > 0.10,
-        "{suite}: average clustering reduction too small: {avg}"
-    );
-    assert!(
-        max > 0.35,
-        "{suite}: maximum clustering reduction too small: {max}"
-    );
+    assert!(checked > 0, "{} has no {prefix:?} claim", table.id);
+}
+
+/// T1 covers both workload suites; its two tests share one run.
+fn t1() -> &'static Table {
+    static T1: OnceLock<Table> = OnceLock::new();
+    T1.get_or_init(experiments::t1)
 }
 
 #[test]
 fn t1_shape_holds_on_composite_suite() {
-    assert_t1_shape("composite", composite_suite(SEED).expect("kernels verify"));
+    assert_claims(t1(), "composite: ");
 }
 
 #[test]
 fn t1_shape_holds_on_scattered_suite() {
-    assert_t1_shape("scattered", scattered_suite(SEED));
+    assert_claims(t1(), "scattered: ");
 }
 
 #[test]
 fn t2_shape_compression_saves_energy_and_vliw_beats_risc() {
-    let codec = DiffCodec::new();
-    let kernels = [(Kernel::Fir, 640u32), (Kernel::Dct8, 160)];
-    let mut vliw_avg = 0.0;
-    let mut risc_avg = 0.0;
-    for (kernel, scale) in kernels {
-        let vliw = run_compression_kernel(kernel, scale, SEED, PlatformKind::VliwLike, &codec)
-            .expect("flow");
-        let risc = run_compression_kernel(kernel, scale, SEED, PlatformKind::RiscLike, &codec)
-            .expect("flow");
-        assert!(
-            vliw.energy_saving() > 0.05,
-            "{}: vliw saving too small",
-            kernel
-        );
-        assert!(
-            risc.energy_saving() > 0.02,
-            "{}: risc saving too small",
-            kernel
-        );
-        vliw_avg += vliw.energy_saving();
-        risc_avg += risc.energy_saving();
-    }
-    // Paper shape: the wide-line VLIW platform gains more than RISC.
-    assert!(vliw_avg > risc_avg, "vliw {vliw_avg} <= risc {risc_avg}");
+    assert_claims(&experiments::t2(), "");
 }
 
 #[test]
 fn t3_shape_functional_encoding_halves_transitions_and_beats_businvert() {
-    let tech = Technology::tech180();
-    for kernel in [Kernel::MatMul, Kernel::Histogram, Kernel::RleEncode] {
-        let run = kernel.run(kernel.default_scale(), SEED).expect("kernel");
-        let out = run_buscoding(kernel.name(), &run.trace, 4, &tech).expect("flow");
-        // Paper: "up to half of the original transitions".
-        assert!(
-            out.reduction() > 0.40,
-            "{}: reduction {}",
-            kernel,
-            out.reduction()
-        );
-        assert!(
-            out.encoded_transitions < out.businvert_transitions,
-            "{}: xor must beat bus-invert",
-            kernel
-        );
-    }
+    assert_claims(&experiments::t3(), "");
 }
 
 #[test]
 fn t4_shape_scheduler_beats_naive_and_cuts_reconfig_energy() {
-    let tech = Technology::tech180();
-    let platform = lpmem::core::flows::scheduling::default_platform(&tech);
-    let mut savings = Vec::new();
-    let mut reconfig = Vec::new();
-    for seed in 0..6 {
-        let app = dsp_pipeline_app(4, 32, seed).expect("builder");
-        let out = run_scheduling("dsp", &app, &platform).expect("flow");
-        assert!(out.greedy <= out.naive, "seed {seed}");
-        assert!(out.greedy < out.external_only, "seed {seed}");
-        savings.push(out.saving_vs_naive());
-        reconfig.push(out.reconfig_saving());
-    }
-    let avg = savings.iter().sum::<f64>() / savings.len() as f64;
-    assert!(avg > 0.05, "average scheduling saving too small: {avg}");
-    assert!(
-        reconfig.iter().any(|&r| r > 0.3),
-        "configuration caching never paid off: {reconfig:?}"
-    );
+    assert_claims(&experiments::t4(), "");
 }
 
 #[test]
 fn sys_shape_optimizations_compose() {
-    let codec = DiffCodec::new();
-    let combined =
-        run_system(Kernel::Dct8, 96, SEED, PlatformKind::VliwLike, &codec, 4).expect("flow");
-    let compression_only =
-        run_compression_kernel(Kernel::Dct8, 96, SEED, PlatformKind::VliwLike, &codec)
-            .expect("flow");
-    // The combined study must save at least as much absolute energy as
-    // compression alone (the ibus component only adds savings).
-    let combined_saved = combined.baseline.total() - combined.optimized.total();
-    let compression_saved = compression_only.baseline.total() - compression_only.compressed.total();
-    assert!(combined_saved > compression_saved);
-    assert!(combined.saving() > 0.0);
+    assert_claims(&experiments::sys(), "");
 }

@@ -12,11 +12,9 @@
 //! fleet_golden -- --nocapture`) and paste the printed lines over
 //! `GOLDEN`.
 
+use lpmem_bench::experiments::SEED;
 use lpmem_bench::fleet::{run_fleet, FleetSpec};
 use lpmem_core::WorkloadMix;
-
-/// The fixed seed of the reproduction harness (`experiments::SEED`).
-const SEED: u64 = 2003;
 
 /// A fleet small enough to pin yet sharded enough (4 shards) to exercise
 /// the merge path.

@@ -12,9 +12,7 @@
 //! golden -- --nocapture`) and paste the printed rows over `GOLDEN`.
 
 use lpmem::prelude::*;
-
-/// The fixed seed of the reproduction harness (`experiments::SEED`).
-const SEED: u64 = 2003;
+use lpmem_bench::experiments::SEED;
 
 /// One pinned grid point: inputs plus the exact expected outputs.
 struct Golden {
