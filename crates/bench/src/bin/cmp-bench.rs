@@ -2,9 +2,9 @@
 //! (DESIGN.md §13).
 //!
 //! ```text
-//! cmp-bench                               # full sampling, writes BENCH_cmp.json
+//! cmp-bench                               # full sampling, prints the table
 //! cmp-bench --quick                       # quick sampling (CI smoke)
-//! cmp-bench --json path.json              # report path (default BENCH_cmp.json)
+//! cmp-bench --json BENCH_cmp.json         # also write the report there
 //! cmp-bench --seed 7                      # workload seed
 //! ```
 //!
@@ -13,12 +13,14 @@
 //! compression, a t180+t90 technology split under a 600 µW budget) at a
 //! given core and bank count, reports the scenario's deterministic
 //! outcome counters, and times the full flow. The counters are a pure
-//! function of the spec — only the timings vary run to run. `--json -`
-//! writes to stdout; usage errors and a failing cell exit 2.
+//! function of the spec — only the timings vary run to run, and a quick
+//! run reports the same counters as a full one. A report is written only
+//! where `--json` names it (`-` is stdout); usage errors and a failing
+//! cell exit 2.
 
 use std::process::ExitCode;
 
-use lpmem_bench::cli::{self, Args};
+use lpmem_bench::cli::{self, Args, BenchRecord};
 use lpmem_core::flows::cmp::run_cmp;
 use lpmem_core::flows::{CmpSpec, FaultSpec, FlowSummary, LlcCodec, TechNode, VariantSpec};
 use lpmem_isa::Kernel;
@@ -54,27 +56,31 @@ struct Cell {
 }
 
 impl Cell {
-    fn to_json(&self) -> String {
+    fn record(&self) -> BenchRecord {
         let report = self.summary.cmp.as_ref().expect("CMP runs carry a report");
-        JsonObject::new()
-            .u64("cores", u64::from(self.spec.cores))
-            .u64("banks", u64::from(self.spec.banks))
-            .str("spec", &self.spec.label())
-            .u64("events", self.summary.events)
-            .f64("baseline_pj", self.summary.baseline.as_pj())
-            .f64("optimized_pj", self.summary.optimized.as_pj())
-            .u64("llc_lookups", report.llc_lookups)
-            .u64("llc_hits", report.llc_hits)
-            .u64("llc_compressed", report.llc_compressed_lines)
-            .u64("offchip_beats", report.offchip_beats)
-            .u64("dark_banks", u64::from(report.dark_banks))
-            .u64("cmp_cycles", report.cycles)
-            .f64("median_ns", self.timing.median_ns)
-            .f64(
-                "events_per_sec",
-                self.timing.elems_per_sec(self.summary.events),
-            )
-            .finish()
+        BenchRecord {
+            counters: JsonObject::new()
+                .u64("cores", u64::from(self.spec.cores))
+                .u64("banks", u64::from(self.spec.banks))
+                .str("spec", &self.spec.label())
+                .u64("events", self.summary.events)
+                .f64("baseline_pj", self.summary.baseline.as_pj())
+                .f64("optimized_pj", self.summary.optimized.as_pj())
+                .u64("llc_lookups", report.llc_lookups)
+                .u64("llc_hits", report.llc_hits)
+                .u64("llc_compressed", report.llc_compressed_lines)
+                .u64("offchip_beats", report.offchip_beats)
+                .u64("dark_banks", u64::from(report.dark_banks))
+                .u64("cmp_cycles", report.cycles)
+                .finish(),
+            timings: JsonObject::new()
+                .f64("median_ns", self.timing.median_ns)
+                .f64(
+                    "events_per_sec",
+                    self.timing.elems_per_sec(self.summary.events),
+                )
+                .finish(),
+        }
     }
 }
 
@@ -84,13 +90,13 @@ fn main() -> ExitCode {
 
 fn run(mut args: Args) -> Result<(), String> {
     let mut quick = false;
-    let mut json_path = "BENCH_cmp.json".to_owned();
+    let mut json_path: Option<String> = None;
     let mut seed = 2003u64;
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
-            "--json" => json_path = args.value(&arg)?,
+            "--json" => json_path = Some(args.value(&arg)?),
             "--seed" => seed = args.num(&arg)?,
             _ => return Err(cli::unknown(&arg)),
         }
@@ -153,13 +159,18 @@ fn run(mut args: Args) -> Result<(), String> {
         }
     }
 
-    let summary = JsonObject::new()
-        .str("schema", "lpmem-cmp-bench-v1")
-        .u64("seed", seed)
-        .str("kernel", Kernel::Fir.name())
-        .u64("scale", u64::from(SCALE))
-        .u64("cells", cells.len() as u64)
-        .finish();
-    let rows: Vec<String> = cells.iter().map(Cell::to_json).collect();
-    cli::write_bench(&json_path, &summary, "cells", &rows)
+    let Some(path) = json_path else {
+        return Ok(());
+    };
+    let top = BenchRecord {
+        counters: JsonObject::new()
+            .u64("seed", seed)
+            .str("kernel", Kernel::Fir.name())
+            .u64("scale", u64::from(SCALE))
+            .u64("cells", cells.len() as u64)
+            .finish(),
+        timings: JsonObject::new().finish(),
+    };
+    let rows: Vec<BenchRecord> = cells.iter().map(Cell::record).collect();
+    cli::write_bench(&path, "cmp-bench", &top, &rows)
 }

@@ -23,7 +23,7 @@
 
 use std::process::ExitCode;
 
-use lpmem_bench::cli::{self, Args};
+use lpmem_bench::cli::{self, Args, BenchRecord};
 use lpmem_bench::fleet::{run_fleet, FleetReport, FleetSpec};
 use lpmem_bench::sweep::worker_count;
 use lpmem_core::flows::{FaultSpec, TechNode};
@@ -38,46 +38,43 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Writes the `--bench-json` throughput report.
+/// Writes the `--bench-json` throughput report. Its counters (fleet
+/// shape, class statistics and, under `--faults`, the campaign's outcome
+/// counts) are the same at any worker count; its timings are not.
 fn write_bench_json(path: &str, report: &FleetReport) -> Result<(), String> {
-    let faults = report.spec.fault.enabled();
-    let mut summary = JsonObject::new()
-        .str(
-            "schema",
-            if faults {
-                "lpmem-fault-bench-v1"
-            } else {
-                "lpmem-fleet-bench-v1"
-            },
-        )
-        .u64("devices", report.spec.devices)
-        .u64("events_per_device", report.spec.events_per_device as u64)
+    let spec = &report.spec;
+    let mut counters = JsonObject::new()
+        .u64("devices", spec.devices)
+        .u64("events_per_device", spec.events_per_device as u64)
         .u64("events", report.total_events())
-        .str("mix", report.spec.mix.name())
-        .u64("seed", report.spec.base_seed)
-        .u64("workers", report.workers as u64)
-        .f64("elapsed_s", report.elapsed_ns as f64 / 1e9)
-        .f64("devices_per_sec", report.devices_per_sec())
-        .f64("events_per_sec", report.events_per_sec());
-    if faults {
+        .str("mix", spec.mix.name())
+        .u64("seed", spec.base_seed);
+    if spec.fault.enabled() {
         let rel = report.total_reliability();
-        summary = summary
-            .str("faults", &report.spec.fault.label())
-            .str("tech", report.spec.tech.name())
+        counters = counters
+            .str("faults", &spec.fault.label())
+            .str("tech", spec.tech.name())
             .u64("injected", rel.injected)
             .u64("masked", rel.masked)
             .u64("detected", rel.detected)
             .u64("corrected", rel.corrected)
-            .u64("silent", rel.silent)
-            .f64("campaigns_per_sec", report.devices_per_sec());
+            .u64("silent", rel.silent);
     }
-    let summary = summary.finish();
-    let classes: Vec<String> = report
+    let top = BenchRecord {
+        counters: counters.finish(),
+        timings: JsonObject::new()
+            .u64("workers", report.workers as u64)
+            .f64("elapsed_s", report.elapsed_ns as f64 / 1e9)
+            .f64("devices_per_sec", report.devices_per_sec())
+            .f64("events_per_sec", report.events_per_sec())
+            .finish(),
+    };
+    let classes: Vec<BenchRecord> = report
         .per_class
         .iter()
         .enumerate()
-        .map(|(c, agg)| {
-            JsonObject::new()
+        .map(|(c, agg)| BenchRecord {
+            counters: JsonObject::new()
                 .str("class", DeviceArchetype::ALL[c].name())
                 .u64("devices", agg.devices)
                 .u64("events", agg.events)
@@ -90,10 +87,11 @@ fn write_bench_json(path: &str, report: &FleetReport) -> Result<(), String> {
                     "spatial_locality",
                     agg.spatial_locality().unwrap_or(f64::NAN),
                 )
-                .finish()
+                .finish(),
+            timings: JsonObject::new().finish(),
         })
         .collect();
-    cli::write_bench(path, &summary, "classes", &classes)
+    cli::write_bench(path, "fleet", &top, &classes)
 }
 
 fn main() -> ExitCode {

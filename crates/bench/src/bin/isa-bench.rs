@@ -2,9 +2,9 @@
 //! TinyRISC execution backends (DESIGN.md §10).
 //!
 //! ```text
-//! isa-bench                               # smoke + bench, writes BENCH_isa.json
+//! isa-bench                               # smoke + bench, prints the table
 //! isa-bench --quick                       # quick sampling (CI smoke)
-//! isa-bench --json path.json              # report path (default BENCH_isa.json)
+//! isa-bench --json BENCH_isa.json         # also write the report there
 //! isa-bench --check-speedup 5             # fail unless geomean speedup >= 5
 //! isa-bench --seed 7 --kernels fir,dct8   # input seed / kernel filter
 //! ```
@@ -14,12 +14,14 @@
 //! are byte-identical (and steps/registers agree) — only then is anything
 //! timed. The `--check-speedup` gate is skipped on single-CPU machines
 //! (or when `LPMEM_SKIP_TIMING_GATE=1`), where wall-clock ratios are
-//! unreliable. A geomean that is not finite fails it. `--json -` writes to
-//! stdout; usage errors, a diverging backend and a failed gate exit 2.
+//! unreliable. A geomean that is not finite fails it. A report is written
+//! only where `--json` names it (`-` is stdout); its counters (kernel,
+//! scale, instret) are the same in a quick and a full run. Usage errors, a
+//! diverging backend and a failed gate exit 2.
 
 use std::process::ExitCode;
 
-use lpmem_bench::cli::{self, Args};
+use lpmem_bench::cli::{self, Args, BenchRecord};
 use lpmem_isa::{Backend, Kernel, Machine, Reg};
 use lpmem_util::bench::{benchmark_paired, format_ns, Measurement, Options, PairedMeasurement};
 use lpmem_util::json::JsonObject;
@@ -44,17 +46,21 @@ impl KernelReport {
         self.instret as f64 / m.median_ns * 1e3
     }
 
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("kernel", self.kernel.name())
-            .u64("scale", u64::from(self.scale))
-            .u64("instret", self.instret)
-            .f64("interp_ns", self.interp.median_ns)
-            .f64("interp_mips", self.mips(&self.interp))
-            .f64("compiled_ns", self.compiled.median_ns)
-            .f64("compiled_mips", self.mips(&self.compiled))
-            .f64("speedup", self.speedup)
-            .finish()
+    fn record(&self) -> BenchRecord {
+        BenchRecord {
+            counters: JsonObject::new()
+                .str("kernel", self.kernel.name())
+                .u64("scale", u64::from(self.scale))
+                .u64("instret", self.instret)
+                .finish(),
+            timings: JsonObject::new()
+                .f64("interp_ns", self.interp.median_ns)
+                .f64("interp_mips", self.mips(&self.interp))
+                .f64("compiled_ns", self.compiled.median_ns)
+                .f64("compiled_mips", self.mips(&self.compiled))
+                .f64("speedup", self.speedup)
+                .finish(),
+        }
     }
 }
 
@@ -124,7 +130,7 @@ fn main() -> ExitCode {
 
 fn run(mut args: Args) -> Result<(), String> {
     let mut quick = false;
-    let mut json_path = String::from("BENCH_isa.json");
+    let mut json_path: Option<String> = None;
     let mut min_speedup: Option<f64> = None;
     let mut seed: u64 = 2003;
     let mut kernels: Vec<Kernel> = Kernel::ALL.to_vec();
@@ -132,7 +138,7 @@ fn run(mut args: Args) -> Result<(), String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
-            "--json" => json_path = args.value(&arg)?,
+            "--json" => json_path = Some(args.value(&arg)?),
             "--check-speedup" => match args.num::<f64>(&arg)? {
                 x if x > 0.0 => min_speedup = Some(x),
                 _ => return Err("--check-speedup needs a positive number".to_owned()),
@@ -198,14 +204,17 @@ fn run(mut args: Args) -> Result<(), String> {
         (reports.iter().map(|r| r.speedup.ln()).sum::<f64>() / reports.len() as f64).exp();
     println!("  geomean speedup: {geomean:.2}x");
 
-    let body: Vec<String> = reports.iter().map(KernelReport::to_json).collect();
-    let summary = JsonObject::new()
-        .str("schema", "lpmem-isa-bench-v1")
-        .u64("seed", seed)
-        .u64("kernels", reports.len() as u64)
-        .f64("geomean_speedup", geomean)
-        .finish();
-    cli::write_bench(&json_path, &summary, "kernels", &body)?;
+    if let Some(path) = json_path {
+        let top = BenchRecord {
+            counters: JsonObject::new()
+                .u64("seed", seed)
+                .u64("kernels", reports.len() as u64)
+                .finish(),
+            timings: JsonObject::new().f64("geomean_speedup", geomean).finish(),
+        };
+        let rows: Vec<BenchRecord> = reports.iter().map(KernelReport::record).collect();
+        cli::write_bench(&path, "isa-bench", &top, &rows)?;
+    }
 
     if let Some(min) = min_speedup {
         let single_cpu = std::thread::available_parallelism()

@@ -106,9 +106,7 @@ fn run(mut args: Args) -> Result<(), String> {
     if let Some(path) = jsonl_path {
         cli::write_output(&path, &report.jsonl())?;
     }
-    for table in report.tables() {
-        print!("{table}");
-    }
+    print!("{}", report.table());
     if report.metrics.errors > 0 {
         eprintln!("sweep: {} task(s) failed", report.metrics.errors);
         std::process::exit(1);

@@ -1,7 +1,8 @@
 //! The argument and output layer shared by the `lpmem-bench` binaries:
 //! [`main`] prints any error as `<prog>: <msg>` and exits 2, [`Args`]
-//! reads typed flag values and comma lists, and [`write_output`] writes a
-//! report to a file or, for the path `-`, to stdout.
+//! reads typed flag values and comma lists, [`write_output`] writes a
+//! report to a file or, for the path `-`, to stdout, and [`write_bench`]
+//! lays a bench report out in the envelope every `BENCH_*.json` shares.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -118,11 +119,43 @@ pub fn write_output(path: &str, text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes a bench report, `{"summary":…,"<key>":[…]}`, via [`write_output`].
-pub fn write_bench(path: &str, summary: &str, key: &str, rows: &[String]) -> Result<(), String> {
+/// One record of a bench report: its counters, a pure function of the
+/// inputs, and its timings, everything read from a clock plus the worker
+/// count (only the timings depend on it). Each is a flat JSON object.
+pub struct BenchRecord {
+    /// The deterministic fields, equal run to run at any worker count.
+    pub counters: String,
+    /// The clock-derived fields and the worker count.
+    pub timings: String,
+}
+
+impl BenchRecord {
+    /// The record's two objects as `"counters":…,"timings":…`.
+    fn fields(&self) -> String {
+        format!(
+            "\"counters\":{},\"timings\":{}",
+            self.counters, self.timings
+        )
+    }
+}
+
+/// Writes a bench report via [`write_output`] in the one envelope every
+/// `BENCH_*.json` shares: `{"schema":"lpmem-bench-v2","bench":<bench>,
+/// "counters":…,"timings":…,"rows":[{"counters":…,"timings":…},…]}`.
+pub fn write_bench(
+    path: &str,
+    bench: &str,
+    top: &BenchRecord,
+    rows: &[BenchRecord],
+) -> Result<(), String> {
+    let rows: Vec<String> = rows.iter().map(|r| format!("{{{}}}", r.fields())).collect();
     write_output(
         path,
-        &format!("{{\"summary\":{summary},\"{key}\":[{}]}}\n", rows.join(",")),
+        &format!(
+            "{{\"schema\":\"lpmem-bench-v2\",\"bench\":\"{bench}\",{},\"rows\":[{}]}}\n",
+            top.fields(),
+            rows.join(",")
+        ),
     )
 }
 

@@ -1,5 +1,4 @@
-//! Run metrics for the sweep engine: per-flow aggregates and a
-//! fixed-bucket latency histogram.
+//! Run metrics for the sweep engine: per-flow aggregates.
 //!
 //! The engine folds every task into one [`Metrics`] in grid order after
 //! the workers finish, so the floating-point energy sums add up in the
@@ -10,83 +9,6 @@ use std::collections::BTreeMap;
 use lpmem_core::flows::FlowSummary;
 
 use crate::table::Table;
-
-/// Upper bounds (exclusive, in nanoseconds) of the latency buckets; the
-/// last bucket is open-ended. A 1–3–10 ladder from 0.1 ms to 100 ms —
-/// fixed so histograms from different runs compare bucket by bucket.
-pub const BUCKET_BOUNDS_NS: [u64; 7] = [
-    100_000,     // < 0.1 ms
-    300_000,     // < 0.3 ms
-    1_000_000,   // < 1 ms
-    3_000_000,   // < 3 ms
-    10_000_000,  // < 10 ms
-    30_000_000,  // < 30 ms
-    100_000_000, // < 100 ms
-];
-
-/// Number of histogram buckets (the bounds plus the open-ended tail).
-pub const NUM_BUCKETS: usize = BUCKET_BOUNDS_NS.len() + 1;
-
-/// A fixed-bucket histogram of per-task wall times.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    counts: [u64; NUM_BUCKETS],
-}
-
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram::default()
-    }
-
-    /// The bucket index a latency falls into.
-    pub fn bucket_of(ns: u64) -> usize {
-        BUCKET_BOUNDS_NS
-            .iter()
-            .position(|&b| ns < b)
-            .unwrap_or(NUM_BUCKETS - 1)
-    }
-
-    /// Human-readable label of a bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket >= NUM_BUCKETS`.
-    pub fn label(bucket: usize) -> String {
-        assert!(bucket < NUM_BUCKETS, "bucket {bucket} out of range");
-        let ms = |ns: u64| {
-            let v = ns as f64 / 1e6;
-            if v < 1.0 {
-                format!("{v:.1}ms")
-            } else {
-                format!("{v:.0}ms")
-            }
-        };
-        if bucket < BUCKET_BOUNDS_NS.len() {
-            format!("<{}", ms(BUCKET_BOUNDS_NS[bucket]))
-        } else {
-            format!(
-                ">={}",
-                ms(*BUCKET_BOUNDS_NS.last().expect("non-empty bounds"))
-            )
-        }
-    }
-
-    /// Records one task latency.
-    pub fn record(&mut self, ns: u64) {
-        self.counts[Self::bucket_of(ns)] += 1;
-    }
-
-    /// Per-bucket counts.
-    pub fn counts(&self) -> &[u64; NUM_BUCKETS] {
-        &self.counts
-    }
-
-    /// Total recorded tasks.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
 
 /// Aggregates for one flow across every task the sweep ran for it.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -114,8 +36,8 @@ impl FlowMetrics {
     }
 }
 
-/// The sweep's run metrics: task counts, per-flow aggregates, summed busy
-/// time, and the task-latency histogram.
+/// The sweep's run metrics: task counts, per-flow aggregates and summed
+/// busy time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Tasks completed.
@@ -127,8 +49,6 @@ pub struct Metrics {
     pub busy_ns: u64,
     /// Per-flow aggregates, keyed by flow name.
     pub per_flow: BTreeMap<String, FlowMetrics>,
-    /// Task-latency histogram.
-    pub latency: LatencyHistogram,
 }
 
 impl Metrics {
@@ -142,7 +62,6 @@ impl Metrics {
     pub fn record(&mut self, flow: &str, wall_ns: u64, outcome: Option<&FlowSummary>) {
         self.tasks += 1;
         self.busy_ns += wall_ns;
-        self.latency.record(wall_ns);
         let fm = self.per_flow.entry(flow.to_owned()).or_default();
         fm.tasks += 1;
         fm.wall_ns += wall_ns;
@@ -204,25 +123,6 @@ impl Metrics {
         ));
         t
     }
-
-    /// Renders the latency histogram as a table.
-    pub fn latency_table(&self) -> Table {
-        let mut t = Table::new(
-            "SWEEP-LAT",
-            "task latency histogram",
-            "n/a (run instrumentation)",
-            vec!["bucket", "tasks", "share"],
-        );
-        let total = self.latency.total().max(1);
-        for (i, &count) in self.latency.counts().iter().enumerate() {
-            t.push_row(vec![
-                LatencyHistogram::label(i),
-                count.to_string(),
-                format!("{:.1}%", 100.0 * count as f64 / total as f64),
-            ]);
-        }
-        t
-    }
 }
 
 fn format_ms(ns: u64) -> String {
@@ -254,18 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_bounds_are_sorted_and_cover_everything() {
-        assert!(BUCKET_BOUNDS_NS.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(LatencyHistogram::bucket_of(0), 0);
-        assert_eq!(LatencyHistogram::bucket_of(99_999), 0);
-        assert_eq!(LatencyHistogram::bucket_of(100_000), 1);
-        assert_eq!(LatencyHistogram::bucket_of(u64::MAX), NUM_BUCKETS - 1);
-        for i in 0..NUM_BUCKETS {
-            assert!(!LatencyHistogram::label(i).is_empty());
-        }
-    }
-
-    #[test]
     fn record_tracks_errors_and_flows() {
         let mut m = Metrics::new();
         let s = summary(FlowSpec::Partitioning, 100.0, 75.0);
@@ -279,14 +167,13 @@ mod tests {
         assert_eq!(m.tasks, 3);
         assert_eq!(m.errors, 1);
         assert_eq!(m.busy_ns, 3_500);
-        assert_eq!(m.latency.total(), 3);
         let p = &m.per_flow["partitioning"];
         assert_eq!((p.tasks, p.errors), (2, 1));
         assert!((p.saving() - 0.25).abs() < 1e-12);
     }
 
     #[test]
-    fn tables_render_all_flows_and_buckets() {
+    fn flow_table_renders_every_flow() {
         let mut m = Metrics::new();
         m.record(
             "system",
@@ -296,29 +183,24 @@ mod tests {
         let ft = m.flow_table(100_000_000, 2);
         assert_eq!(ft.rows.len(), 1);
         assert!(ft.to_string().contains("system"));
-        let lt = m.latency_table();
-        assert_eq!(lt.rows.len(), NUM_BUCKETS);
-        let counted: u64 = lt.rows.iter().map(|r| r[1].parse::<u64>().unwrap()).sum();
-        assert_eq!(counted, 1);
     }
 
-    // Property: histogram bucket counts always sum to the task count, for
+    // Property: per-flow task counts always sum to the task count, for
     // any latency stream.
     #[test]
-    fn prop_histogram_counts_sum_to_task_count() {
-        Props::new("histogram sums to task count")
+    fn prop_flow_counts_sum_to_task_count() {
+        Props::new("flow counts sum to task count")
             .cases(128)
             .run(|rng| {
                 let mut m = Metrics::new();
                 let n = rng.gen_range(0..200usize);
                 for _ in 0..n {
-                    // Latencies spanning every bucket, ns to minutes.
+                    // Latencies from nanoseconds to minutes.
                     let ns = rng.gen_range(0..200_000_000_000u64);
                     let ok = rng.gen_bool(0.9);
                     let s = summary(FlowSpec::Compression, 2.0, 1.0);
                     m.record("compression", ns, if ok { Some(&s) } else { None });
                 }
-                assert_eq!(m.latency.total(), n as u64);
                 assert_eq!(m.tasks, n as u64);
                 let per_flow_tasks: u64 = m.per_flow.values().map(|f| f.tasks).sum();
                 assert_eq!(per_flow_tasks, n as u64);

@@ -276,13 +276,9 @@ impl SweepReport {
         out
     }
 
-    /// The human-facing tables: per-flow aggregates and the latency
-    /// histogram.
-    pub fn tables(&self) -> Vec<Table> {
-        vec![
-            self.metrics.flow_table(self.elapsed_ns, self.workers),
-            self.metrics.latency_table(),
-        ]
+    /// The human-facing table: per-flow aggregates.
+    pub fn table(&self) -> Table {
+        self.metrics.flow_table(self.elapsed_ns, self.workers)
     }
 }
 

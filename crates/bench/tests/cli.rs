@@ -214,3 +214,126 @@ fn empty_fleet_classes_show_na_where_the_json_has_null() {
         r#"{"class":"strided","devices":0,"events":0,"mean_stack_distance":null,"spatial_locality":null}"#
     ));
 }
+
+#[test]
+fn isa_bench_writes_a_report_only_where_json_names_it() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("isa-bench-cwd");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    let out = Command::new(ISA)
+        .args(["--quick", "--kernels", "fir"])
+        .current_dir(&dir)
+        .output()
+        .expect("the binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list the working directory")
+        .collect();
+    assert!(written.is_empty(), "{written:?}");
+}
+
+/// Splits a flat JSON object off the front of `s`: its `(key, value)`
+/// pairs, value text as written, and the rest of `s`. Panics if the
+/// object nests another object or an array.
+fn flat_object(s: &str) -> (Vec<(&str, &str)>, &str) {
+    assert!(s.starts_with('{'), "not an object: {s}");
+    let body_end = s.find('}').expect("an object ends");
+    let (body, rest) = (&s[1..body_end], &s[body_end + 1..]);
+    assert!(!body.contains(['{', '[']), "not flat: {s}");
+    let mut pairs = Vec::new();
+    let mut left = body;
+    while !left.is_empty() {
+        let key_end = left[1..].find('"').expect("a key ends") + 1;
+        let key = &left[1..key_end];
+        let value = &left[key_end + 2..];
+        let value_end = if let Some(string) = value.strip_prefix('"') {
+            string.find('"').expect("a string ends") + 2
+        } else {
+            value.find(',').unwrap_or(value.len())
+        };
+        pairs.push((key, &value[..value_end]));
+        left = value[value_end..].strip_prefix(',').unwrap_or("");
+    }
+    (pairs, rest)
+}
+
+/// Splits one `"counters":{…},"timings":{…}` record off the front of
+/// `s`: its counters and the rest of `s`. Panics if a timing sits among
+/// the counters.
+fn record<'a>(bench: &str, s: &'a str) -> (Vec<(&'a str, &'a str)>, &'a str) {
+    let s = s.strip_prefix("\"counters\":").expect("counters first");
+    let (counters, s) = flat_object(s);
+    for (key, _) in &counters {
+        assert!(
+            !(key.ends_with("_ns")
+                || key.ends_with("_s")
+                || key.ends_with("_per_sec")
+                || key.ends_with("_mips")
+                || key.contains("speedup")
+                || *key == "workers"),
+            "{bench}: timing {key:?} among the counters"
+        );
+    }
+    let s = s.strip_prefix(",\"timings\":").expect("timings second");
+    (counters, flat_object(s).1)
+}
+
+/// Checks one bench report against the shared envelope, key by key in
+/// order, and returns every counters object in it, top level first.
+fn bench_counters<'a>(bench: &str, report: &'a str) -> Vec<Vec<(&'a str, &'a str)>> {
+    let head = format!("{{\"schema\":\"lpmem-bench-v2\",\"bench\":\"{bench}\",");
+    let rest = report
+        .strip_prefix(head.as_str())
+        .unwrap_or_else(|| panic!("{bench}: bad head: {report}"));
+    let (top, rest) = record(bench, rest);
+    let mut all = vec![top];
+    let mut rest = rest.strip_prefix(",\"rows\":[").expect("rows last");
+    while let Some(row) = rest.strip_prefix('{') {
+        let (counters, after) = record(bench, row);
+        all.push(counters);
+        let after = after.strip_prefix('}').expect("a row ends");
+        rest = after.strip_prefix(',').unwrap_or(after);
+    }
+    assert_eq!(rest, "]}\n", "{bench}: nothing follows the rows");
+    all
+}
+
+/// The report a bench binary wrote to stdout, after its table.
+fn last_line(out: &Output) -> String {
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(out);
+    let start = text.trim_end().rfind('\n').map_or(0, |i| i + 1);
+    text[start..].to_owned()
+}
+
+#[test]
+fn bench_reports_share_one_envelope_with_counters_apart() {
+    let isa = last_line(&run(ISA, &["--quick", "--kernels", "fir", "--json", "-"]));
+    let counters = bench_counters("isa-bench", &isa);
+    assert_eq!(counters.len(), 2);
+    assert_eq!(
+        counters[1],
+        [("kernel", "\"fir\""), ("scale", "96"), ("instret", "17578")]
+    );
+
+    for faults in [&[][..], &["--faults", "secded", "--tech", "t90"]] {
+        let fleet = |threads: &str| {
+            let mut args = vec![
+                "--devices",
+                "2000",
+                "--bench-json",
+                "-",
+                "--threads",
+                threads,
+            ];
+            args.extend(faults);
+            last_line(&run(FLEET, &args))
+        };
+        let (one, two) = (fleet("1"), fleet("2"));
+        let counters = bench_counters("fleet", &one);
+        assert_eq!(counters.len(), 6, "the top level and five classes");
+        assert_eq!(counters, bench_counters("fleet", &two), "{faults:?}");
+        let has_silent = counters[0].iter().any(|(k, _)| *k == "silent");
+        assert_eq!(has_silent, !faults.is_empty(), "{one}");
+    }
+}

@@ -224,7 +224,7 @@ fn evolutionary_frontier_is_worker_independent_on_the_full_and_cmp_spaces() {
         // A fresh evaluator per worker count, so every run evaluates cold
         // and at 2 workers the memo tables (the fault table too, under
         // secded) fill from both workers at once.
-        let run = |workers: usize| {
+        let search_at = |workers: usize| {
             let evaluator = Evaluator::with_faults(tiny_workload(), fault).expect("workload runs");
             let cfg = SearchConfig {
                 budget,
@@ -236,8 +236,8 @@ fn evolutionary_frontier_is_worker_independent_on_the_full_and_cmp_spaces() {
                 .search(&space, &evaluator, &cfg)
                 .expect("search runs")
         };
-        let single = run(1);
-        let double = run(2);
+        let single = search_at(1);
+        let double = search_at(2);
         assert_eq!(single.evaluated, budget);
         assert_eq!(single.evaluated, double.evaluated);
         let jsonl = single.frontier.to_jsonl();

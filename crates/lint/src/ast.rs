@@ -498,14 +498,6 @@ impl Expr {
             _ => None,
         }
     }
-
-    /// The single identifier when this is a one-segment path.
-    pub fn as_ident(&self) -> Option<&str> {
-        match self.as_path() {
-            Some([one]) => Some(one),
-            _ => None,
-        }
-    }
 }
 
 /// Walks `expr` and every sub-expression (blocks included), calling `f` on

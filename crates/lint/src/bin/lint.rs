@@ -16,8 +16,8 @@
 //! * `--deny`       exit non-zero when any diagnostic survives — the CI
 //!   gate mode used by `scripts/verify.sh`.
 //! * `--bench-json PATH`  write a one-line JSON benchmark record (file,
-//!   line, function, call-graph, and taint counters plus wall time) to
-//!   PATH after the run; see `BENCH_lint.json` at the repo root.
+//!   line, function, call-graph, and taint counters apart from the wall
+//!   time) to PATH after the run; see `BENCH_lint.json` at the repo root.
 //! * `--list`       print the rule catalog and exit.
 //!
 //! Output is byte-stable for a given tree: files are walked in sorted
@@ -152,8 +152,9 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Renders the `--bench-json` record: one line of stable-keyed JSON with
-/// the analysis counters and the wall time of the whole run.
+/// Renders the `--bench-json` record by hand in the shared bench envelope
+/// (`lpmem_bench::cli::write_bench`, a crate this one does not depend on):
+/// the analysis counters, then the wall time of the whole run, no rows.
 fn bench_report_body(report: &Report, elapsed_ns: u128) -> String {
     let s = &report.stats;
     let secs = elapsed_ns as f64 / 1e9;
@@ -164,12 +165,13 @@ fn bench_report_body(report: &Report, elapsed_ns: u128) -> String {
     };
     format!(
         concat!(
-            "{{\"schema\":\"lpmem-lint-bench-v1\",",
-            "\"files\":{},\"lines\":{},\"functions\":{},",
+            "{{\"schema\":\"lpmem-bench-v2\",\"bench\":\"lint\",",
+            "\"counters\":{{\"files\":{},\"lines\":{},\"functions\":{},",
             "\"resolved_calls\":{},\"unresolved_calls\":{},",
             "\"taint_sites\":{},\"retractions\":{},",
-            "\"diags\":{},\"suppressed\":{},",
-            "\"elapsed_ns\":{},\"files_per_sec\":{:.1}}}\n"
+            "\"diags\":{},\"suppressed\":{}}},",
+            "\"timings\":{{\"elapsed_ns\":{},\"files_per_sec\":{:.1}}},",
+            "\"rows\":[]}}\n"
         ),
         s.files,
         s.lines,

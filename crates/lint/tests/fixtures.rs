@@ -102,3 +102,33 @@ fn an_empty_rule_list_is_a_usage_error() {
         assert!(out.stdout.is_empty(), "--rules {rules}");
     }
 }
+
+#[test]
+fn the_bench_record_keeps_counters_apart_from_timings() {
+    // The shared bench envelope (`lpmem_bench::cli::write_bench`), written
+    // by hand here: the counters are a pure function of the tree, the
+    // timings come from the clock, and there are no rows.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_lint.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lint"))
+        .arg("--root")
+        .arg(fixtures_dir())
+        .arg("--bench-json")
+        .arg(&path)
+        .output()
+        .expect("run lint");
+    assert_eq!(out.status.code(), Some(0));
+    let record = std::fs::read_to_string(&path).expect("lint wrote its record");
+    let timings = record
+        .strip_prefix(concat!(
+            r#"{"schema":"lpmem-bench-v2","bench":"lint","counters":{"files":18,"lines":244,"#,
+            r#""functions":34,"resolved_calls":5,"unresolved_calls":48,"taint_sites":11,"#,
+            r#""retractions":3,"diags":21,"suppressed":1},"timings":{"elapsed_ns":"#
+        ))
+        .unwrap_or_else(|| panic!("{record}"));
+    let (elapsed_ns, files_per_sec) = timings
+        .strip_suffix("},\"rows\":[]}\n")
+        .and_then(|t| t.split_once(",\"files_per_sec\":"))
+        .unwrap_or_else(|| panic!("{record}"));
+    assert!(elapsed_ns.parse::<u128>().is_ok(), "{record}");
+    assert!(files_per_sec.parse::<f64>().is_ok(), "{record}");
+}

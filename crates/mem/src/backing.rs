@@ -249,11 +249,6 @@ impl<B: Backing> RecordingBacking<B> {
     pub fn inner(&self) -> &B {
         &self.inner
     }
-
-    /// Exclusive access to the wrapped backing.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
 }
 
 impl<B: Backing> Backing for RecordingBacking<B> {

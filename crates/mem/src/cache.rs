@@ -212,11 +212,6 @@ impl Cache {
         &self.stats
     }
 
-    /// Resets counters (state is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn line_shift(&self) -> u32 {
         self.cfg.line_bytes.trailing_zeros()
     }
