@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 use lpmem_bench::cli::{self, Args, BenchRecord};
 use lpmem_core::flows::cmp::run_cmp;
-use lpmem_core::flows::{CmpSpec, FaultSpec, FlowSummary, LlcCodec, TechNode, VariantSpec};
+use lpmem_core::flows::{CmpSpec, CodecKind, FaultSpec, FlowSummary, TechNode, VariantSpec};
 use lpmem_isa::Kernel;
 use lpmem_util::bench::{benchmark, format_ns, Measurement, Options};
 use lpmem_util::json::JsonObject;
@@ -41,7 +41,7 @@ fn spec_at(cores: u32, banks: u32) -> CmpSpec {
         banks,
         bank_kib: 32,
         ways: 4,
-        codec: LlcCodec::Zrun,
+        codec: CodecKind::Zrun,
         techs: vec![TechNode::T180, TechNode::T90],
         budget_uw: 600,
         ..CmpSpec::off()

@@ -11,7 +11,7 @@
 //! budget, and replacement is LRU by a global monotonic stamp — the
 //! deterministic logical clock of the interleaved simulation.
 
-use crate::spec::LlcCodec;
+use lpmem_compress::CodecKind;
 
 /// Segments per uncompressed line (quarter-line granularity).
 pub const SEGMENTS_PER_LINE: u32 = 4;
@@ -65,8 +65,8 @@ impl LlcConfig {
 
     /// Number of segments a compressed encoding of `encoded_len` bytes
     /// occupies (always the full line when `codec` is off).
-    pub fn segments_for(&self, codec: LlcCodec, encoded_len: usize) -> u32 {
-        if codec == LlcCodec::Off {
+    pub fn segments_for(&self, codec: CodecKind, encoded_len: usize) -> u32 {
+        if codec == CodecKind::Off {
             return SEGMENTS_PER_LINE;
         }
         let segs = encoded_len.div_ceil(self.seg_bytes() as usize);
@@ -294,11 +294,11 @@ mod tests {
     #[test]
     fn segments_for_clamps_and_respects_off() {
         let cfg = small_cfg(true);
-        assert_eq!(cfg.segments_for(LlcCodec::Off, 1), SEGMENTS_PER_LINE);
-        assert_eq!(cfg.segments_for(LlcCodec::Zrun, 0), 1);
-        assert_eq!(cfg.segments_for(LlcCodec::Zrun, 16), 1);
-        assert_eq!(cfg.segments_for(LlcCodec::Zrun, 17), 2);
-        assert_eq!(cfg.segments_for(LlcCodec::Zrun, 640), SEGMENTS_PER_LINE);
+        assert_eq!(cfg.segments_for(CodecKind::Off, 1), SEGMENTS_PER_LINE);
+        assert_eq!(cfg.segments_for(CodecKind::Zrun, 0), 1);
+        assert_eq!(cfg.segments_for(CodecKind::Zrun, 16), 1);
+        assert_eq!(cfg.segments_for(CodecKind::Zrun, 17), 2);
+        assert_eq!(cfg.segments_for(CodecKind::Zrun, 640), SEGMENTS_PER_LINE);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! only in the energy/area pricing at the end and in the gating
 //! threshold comparison (a pure function of the spec).
 
-use lpmem_compress::LineCodec;
+use lpmem_compress::{CodecKind, LineCodec};
 use lpmem_energy::{AreaReport, Energy, EnergyReport, OffChipModel, SramModel, Technology};
 use lpmem_fault::{run_campaign, BankExposure, FaultExposure, FaultSpec, ReliabilityReport};
 use lpmem_mem::{Cache, CacheConfig, FlatMemory, RecordingBacking};
@@ -18,7 +18,7 @@ use lpmem_partition::sleep::SleepPolicy;
 use lpmem_trace::{AccessKind, MemEvent, Trace};
 
 use crate::llc::{LlcConfig, NucaLlc, SEGMENTS_PER_LINE};
-use crate::spec::{CmpSpec, LlcCodec, TAG_CMP};
+use crate::spec::{CmpSpec, TAG_CMP};
 
 /// Cycles of a zero-hop LLC hit (tag + segment read at the home bank);
 /// each NUCA ring hop adds one cycle.
@@ -199,7 +199,7 @@ pub fn simulate_cmp(
         bank_bytes,
         line_bytes,
         ways: spec.ways,
-        compressed: spec.codec != LlcCodec::Off,
+        compressed: spec.codec != CodecKind::Off,
     };
 
     // Per-core data event streams; the tick clock is one data event.
@@ -598,7 +598,7 @@ mod tests {
             ..CmpSpec::quad()
         };
         let plain = CmpSpec {
-            codec: LlcCodec::Off,
+            codec: CodecKind::Off,
             ..compressed.clone()
         };
         let base = Technology::tech180();

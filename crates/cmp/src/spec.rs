@@ -6,7 +6,7 @@
 //! a compact report/CLI label, and a [`parse`](CmpSpec::parse) that
 //! round-trips every label.
 
-use lpmem_compress::{DiffCodec, FpcCodec, LineCodec, ZeroRunCodec};
+use lpmem_compress::CodecKind;
 use lpmem_energy::{TechNode, Technology};
 use lpmem_partition::Partition;
 
@@ -17,52 +17,6 @@ pub const TAG_CMP: u64 = 0xC390;
 /// Default round-robin interleave quantum: data events one core retires
 /// before the arbiter hands the memory system to the next core.
 pub const DEFAULT_QUANTUM: u32 = 32;
-
-/// The LLC line codec choice — `lpmem-compress` codecs applied at the
-/// shared-cache boundary instead of the private write-back path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LlcCodec {
-    /// Uncompressed LLC: every line occupies all four segments.
-    Off,
-    /// Differential (word deltas, zigzag, variable-width packing).
-    Diff,
-    /// Zero-run elimination.
-    Zrun,
-    /// Frequent-pattern compression.
-    Fpc,
-}
-
-impl LlcCodec {
-    /// Every codec choice, in grid order.
-    pub const ALL: [LlcCodec; 4] = [LlcCodec::Off, LlcCodec::Diff, LlcCodec::Zrun, LlcCodec::Fpc];
-
-    /// Report/CLI key (matches the explorer's codec axis names).
-    pub fn name(self) -> &'static str {
-        match self {
-            LlcCodec::Off => "off",
-            LlcCodec::Diff => "diff",
-            LlcCodec::Zrun => "zrun",
-            LlcCodec::Fpc => "fpc",
-        }
-    }
-
-    /// Parses a report/CLI key (case-insensitive).
-    pub fn parse(s: &str) -> Option<LlcCodec> {
-        LlcCodec::ALL
-            .into_iter()
-            .find(|c| c.name() == s.trim().to_ascii_lowercase())
-    }
-
-    /// The line codec implementation, or `None` when compression is off.
-    pub fn codec(self) -> Option<Box<dyn LineCodec>> {
-        match self {
-            LlcCodec::Off => None,
-            LlcCodec::Diff => Some(Box::new(DiffCodec::new())),
-            LlcCodec::Zrun => Some(Box::new(ZeroRunCodec::new())),
-            LlcCodec::Fpc => Some(Box::new(FpcCodec::new())),
-        }
-    }
-}
 
 /// One chip-multiprocessor scenario: N cores behind private L1 D-caches
 /// sharing a NUCA LLC whose bank partitions may sit on different
@@ -85,7 +39,7 @@ pub struct CmpSpec {
     /// segment budget).
     pub ways: u32,
     /// Per-line LLC compression codec.
-    pub codec: LlcCodec,
+    pub codec: CodecKind,
     /// Technology node per bank partition, in bank order. Empty means
     /// homogeneous at the run's own technology axis; otherwise bank `b`
     /// belongs to partition `b·len/banks`.
@@ -107,7 +61,7 @@ impl CmpSpec {
             banks: 0,
             bank_kib: 0,
             ways: 0,
-            codec: LlcCodec::Off,
+            codec: CodecKind::Off,
             techs: Vec::new(),
             budget_uw: 0,
             quantum: DEFAULT_QUANTUM,
@@ -123,7 +77,7 @@ impl CmpSpec {
             banks: 8,
             bank_kib: 32,
             ways: 4,
-            codec: LlcCodec::Zrun,
+            codec: CodecKind::Zrun,
             techs: vec![TechNode::T180, TechNode::T90],
             budget_uw: 600,
             quantum: DEFAULT_QUANTUM,
@@ -144,7 +98,7 @@ impl CmpSpec {
     pub fn passthrough(&self) -> bool {
         self.enabled()
             && self.banks <= 1
-            && self.codec == LlcCodec::Off
+            && self.codec == CodecKind::Off
             && self.techs.is_empty()
             && self.budget_uw == 0
     }
@@ -228,7 +182,7 @@ impl CmpSpec {
             "c{}b{}x{}w{}",
             self.cores, self.banks, self.bank_kib, self.ways
         );
-        if self.codec != LlcCodec::Off {
+        if self.codec != CodecKind::Off {
             label.push('-');
             label.push_str(self.codec.name());
         }
@@ -283,7 +237,7 @@ impl CmpSpec {
                     .split('+')
                     .map(TechNode::parse)
                     .collect::<Option<Vec<_>>>()?;
-            } else if let Some(codec) = LlcCodec::parse(token) {
+            } else if let Some(codec) = CodecKind::parse(token) {
                 spec.codec = codec;
             } else {
                 return None;
@@ -320,7 +274,7 @@ mod tests {
         assert!(quad.enabled());
         assert!(!quad.passthrough());
         assert!(quad.cores >= 4);
-        assert_ne!(quad.codec, LlcCodec::Off);
+        assert_ne!(quad.codec, CodecKind::Off);
         assert!(quad.techs.len() >= 2);
         assert!(quad.budget_uw > 0);
         assert_eq!(quad.label(), "c4b8x32w4-zrun-t180+t90-p600");
@@ -344,7 +298,7 @@ mod tests {
                 banks: 16,
                 bank_kib: 64,
                 ways: 4,
-                codec: LlcCodec::Fpc,
+                codec: CodecKind::Fpc,
                 techs: vec![TechNode::T180, TechNode::T130, TechNode::T90],
                 budget_uw: 12_000,
                 quantum: 8,
@@ -366,7 +320,7 @@ mod tests {
                 banks: rng.gen_range(0..=64u32),
                 bank_kib: rng.next_u32(),
                 ways: rng.gen_range(0..=16u32),
-                codec: *rng.choose(&LlcCodec::ALL).expect("non-empty"),
+                codec: *rng.choose(&CodecKind::ALL).expect("non-empty"),
                 techs: (0..rng.bounded_u64(4))
                     .map(|_| *rng.choose(&TechNode::ALL).expect("non-empty"))
                     .collect(),
@@ -398,7 +352,7 @@ mod tests {
                 ..spec.clone()
             },
             CmpSpec {
-                codec: LlcCodec::Zrun,
+                codec: CodecKind::Zrun,
                 ..spec.clone()
             },
             CmpSpec {

@@ -316,6 +316,69 @@ impl LineCodec for RawCodec {
     }
 }
 
+/// A line-compression hardware choice: the write-back codec of the
+/// single-core platform and the per-bank codec of a shared LLC are the
+/// same datapaths, chosen and priced through this one type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CodecKind {
+    /// No compression hardware (no codec energy or area).
+    Off,
+    /// The 1B.2 differential codec ([`DiffCodec`]).
+    Diff,
+    /// Zero-run elimination ([`ZeroRunCodec`]).
+    Zrun,
+    /// Frequent-pattern compression ([`FpcCodec`]).
+    Fpc,
+}
+
+impl CodecKind {
+    /// Every choice, in axis order.
+    pub const ALL: [CodecKind; 4] = [
+        CodecKind::Off,
+        CodecKind::Diff,
+        CodecKind::Zrun,
+        CodecKind::Fpc,
+    ];
+
+    /// Report/CLI key.
+    pub fn name(self) -> &'static str {
+        match self {
+            CodecKind::Off => "off",
+            CodecKind::Diff => "diff",
+            CodecKind::Zrun => "zrun",
+            CodecKind::Fpc => "fpc",
+        }
+    }
+
+    /// Parses a report/CLI key (case-insensitive).
+    pub fn parse(s: &str) -> Option<CodecKind> {
+        CodecKind::ALL
+            .into_iter()
+            .find(|c| c.name() == s.trim().to_ascii_lowercase())
+    }
+
+    /// The codec implementation, or `None` when compression is off.
+    pub fn codec(self) -> Option<Box<dyn LineCodec>> {
+        match self {
+            CodecKind::Off => None,
+            CodecKind::Diff => Some(Box::new(DiffCodec::new())),
+            CodecKind::Zrun => Some(Box::new(ZeroRunCodec::new())),
+            CodecKind::Fpc => Some(Box::new(FpcCodec::new())),
+        }
+    }
+
+    /// First-order gate count of one instance of the codec datapath
+    /// (zero when off).
+    pub fn gates(self) -> u64 {
+        match self {
+            CodecKind::Off => 0,
+            CodecKind::Zrun => 900,
+            CodecKind::Diff => 1200,
+            CodecKind::Fpc => 2000,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,6 +386,22 @@ mod tests {
 
     fn line_of(words: &[u32]) -> Vec<u8> {
         words_to_bytes(words)
+    }
+
+    #[test]
+    fn codec_kinds_roundtrip_and_only_off_has_no_hardware() {
+        for kind in CodecKind::ALL {
+            assert_eq!(CodecKind::parse(kind.name()), Some(kind));
+            assert_eq!(
+                CodecKind::parse(&format!(" {} ", kind.name().to_ascii_uppercase())),
+                Some(kind)
+            );
+            // Off is the one choice without hardware: no codec, no gates.
+            let off = kind == CodecKind::Off;
+            assert_eq!(kind.codec().is_none(), off, "{kind:?}");
+            assert_eq!(kind.gates() == 0, off, "{kind:?}");
+        }
+        assert_eq!(CodecKind::parse("raw"), None);
     }
 
     #[test]

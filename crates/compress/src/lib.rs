@@ -40,5 +40,5 @@ pub mod codec;
 pub mod model;
 
 pub use bits::{BitReader, BitWriter};
-pub use codec::{DiffCodec, FpcCodec, LineCodec, RawCodec, ZeroRunCodec};
+pub use codec::{CodecKind, DiffCodec, FpcCodec, LineCodec, RawCodec, ZeroRunCodec};
 pub use model::CompressedMemoryModel;

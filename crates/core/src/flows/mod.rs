@@ -18,5 +18,7 @@ pub use lpmem_fault::{
     run_campaign, BankExposure, FaultExposure, FaultSpec, Protection, ReliabilityReport,
 };
 
-// CMP scenario surface, re-exported the same way.
-pub use lpmem_cmp::{CmpReport, CmpSpec, LlcCodec};
+// CMP scenario surface, re-exported the same way; `CodecKind` is also
+// the single-core write-back codec choice.
+pub use lpmem_cmp::{CmpReport, CmpSpec};
+pub use lpmem_compress::CodecKind;

@@ -570,7 +570,7 @@ mod tests {
                 FlowSpec::parse(s),
                 Kernel::parse(s),
                 Protection::parse(s),
-                lpmem_cmp::LlcCodec::parse(s),
+                lpmem_compress::CodecKind::parse(s),
             );
         };
         for s in [

@@ -238,7 +238,9 @@ pub fn nsga_order(evals: &[Evaluation]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::{BusChoice, CacheGeom, CodecChoice, DesignPoint};
+    use crate::point::{CacheGeom, DesignPoint};
+    use lpmem_buscode::BusChoice;
+    use lpmem_compress::CodecKind;
     use lpmem_energy::AreaReport;
 
     fn eval(banks: usize, energy: f64, area: f64, cycles: u64) -> Evaluation {
@@ -251,7 +253,7 @@ mod tests {
                 line: 64,
                 ways: 2,
             },
-            codec: CodecChoice::Differential,
+            codec: CodecKind::Diff,
             bus: BusChoice::Xor(4),
             l0: 1024,
             cmp: None,

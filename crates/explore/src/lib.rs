@@ -48,7 +48,7 @@ pub mod search;
 
 pub use eval::{Evaluation, Evaluator, Objectives, Workload};
 pub use frontier::Frontier;
-pub use point::{BusChoice, CacheGeom, CodecChoice, DesignPoint, DesignSpace};
+pub use point::{CacheGeom, DesignPoint, DesignSpace};
 pub use search::{
     parse_strategy, Evolutionary, Exhaustive, SearchConfig, SearchOutcome, SearchStrategy,
 };

@@ -9,7 +9,10 @@
 
 use std::fmt;
 
-use lpmem_cmp::{CmpSpec, LlcCodec, DEFAULT_QUANTUM};
+use lpmem_buscode::BusChoice;
+use lpmem_cmp::{CmpSpec, DEFAULT_QUANTUM};
+use lpmem_compress::CodecKind;
+use lpmem_core::flows::buscoding::check_regions;
 use lpmem_core::flows::compression::PlatformKind;
 use lpmem_core::flows::spec::VariantSpec;
 use lpmem_energy::TechNode;
@@ -44,64 +47,6 @@ impl fmt::Display for CacheGeom {
     }
 }
 
-/// Write-back compression codec choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CodecChoice {
-    /// No compression hardware at all (no codec energy or area).
-    Off,
-    /// Word-differencing codec ([`lpmem_compress::DiffCodec`]).
-    Differential,
-    /// Zero-run codec ([`lpmem_compress::ZeroRunCodec`]).
-    ZeroRun,
-    /// Frequent-pattern codec ([`lpmem_compress::FpcCodec`]).
-    Fpc,
-}
-
-impl CodecChoice {
-    /// Every codec choice, in axis order.
-    pub const ALL: [CodecChoice; 4] = [
-        CodecChoice::Off,
-        CodecChoice::Differential,
-        CodecChoice::ZeroRun,
-        CodecChoice::Fpc,
-    ];
-
-    /// Short key used in point keys and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CodecChoice::Off => "off",
-            CodecChoice::Differential => "diff",
-            CodecChoice::ZeroRun => "zrun",
-            CodecChoice::Fpc => "fpc",
-        }
-    }
-}
-
-/// Instruction-bus encoding choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BusChoice {
-    /// Unencoded bus (no encoder energy or area).
-    Raw,
-    /// Gray-coded words.
-    Gray,
-    /// Bus-invert coding (one extra invert line).
-    BusInvert,
-    /// Trained per-region XOR encoding with this many regions.
-    Xor(usize),
-}
-
-impl BusChoice {
-    /// Short key used in point keys and reports.
-    pub fn name(self) -> String {
-        match self {
-            BusChoice::Raw => "raw".to_owned(),
-            BusChoice::Gray => "gray".to_owned(),
-            BusChoice::BusInvert => "businv".to_owned(),
-            BusChoice::Xor(r) => format!("xor{r}"),
-        }
-    }
-}
-
 /// One complete cross-flow platform configuration.
 ///
 /// The key ties every axis into a stable, human-readable identifier
@@ -116,7 +61,7 @@ pub struct DesignPoint {
     /// D-cache geometry.
     pub cache: CacheGeom,
     /// Write-back codec.
-    pub codec: CodecChoice,
+    pub codec: CodecKind,
     /// Instruction-bus encoding.
     pub bus: BusChoice,
     /// Scheduler L0 scratchpad capacity in bytes.
@@ -162,8 +107,8 @@ impl DesignPoint {
         self.cache
             .config()
             .map_err(|e| format!("cache geometry: {e}"))?;
-        if let BusChoice::Xor(0) = self.bus {
-            return Err("xor encoding needs at least one region".to_owned());
+        if let BusChoice::Xor(regions) = self.bus {
+            check_regions(regions).map_err(|e| e.to_string())?;
         }
         if self.l0 == 0 || !self.l0.is_power_of_two() {
             return Err(format!("l0 capacity {} must be a power of two", self.l0));
@@ -207,7 +152,7 @@ impl DesignPoint {
             banks: variant.max_banks,
             block: variant.block_size,
             cache,
-            codec: CodecChoice::Differential,
+            codec: CodecKind::Diff,
             bus: BusChoice::Xor(variant.regions),
             l0: variant.l0_bytes,
             cmp: None,
@@ -236,7 +181,7 @@ pub struct DesignSpace {
     /// D-cache geometry axis.
     pub caches: Vec<CacheGeom>,
     /// Codec axis.
-    pub codecs: Vec<CodecChoice>,
+    pub codecs: Vec<CodecKind>,
     /// Bus-encoding axis.
     pub buses: Vec<BusChoice>,
     /// L0-capacity axis (bytes).
@@ -267,7 +212,7 @@ impl DesignSpace {
             banks: vec![2, 4, 8, 16],
             blocks: vec![1024, 2048, 4096],
             caches,
-            codecs: CodecChoice::ALL.to_vec(),
+            codecs: CodecKind::ALL.to_vec(),
             buses: vec![
                 BusChoice::Raw,
                 BusChoice::Gray,
@@ -308,7 +253,7 @@ impl DesignSpace {
             for banks in [2u32, 4, 8] {
                 for bank_kib in [16u32, 32, 64] {
                     for ways in [2u32, 4] {
-                        for codec in LlcCodec::ALL {
+                        for codec in CodecKind::ALL {
                             for techs in splits {
                                 if techs.len() > banks as usize {
                                     continue;
@@ -353,7 +298,7 @@ impl DesignSpace {
                     ways: 2,
                 },
             ],
-            codecs: vec![CodecChoice::Off, CodecChoice::Differential],
+            codecs: vec![CodecKind::Off, CodecKind::Diff],
             buses: vec![BusChoice::Raw, BusChoice::Xor(4)],
             l0s: vec![512, 1024],
             cmps: vec![None],
@@ -606,6 +551,7 @@ impl DesignSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lpmem_buscode::RegionEncoder;
 
     #[test]
     fn keys_are_stable_and_distinct() {
@@ -670,7 +616,7 @@ mod tests {
                 ..p.clone()
             },
             DesignPoint {
-                codec: CodecChoice::Fpc,
+                codec: CodecKind::Fpc,
                 ..p.clone()
             },
             DesignPoint {
@@ -864,12 +810,20 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(DesignPoint {
-            bus: BusChoice::Xor(0),
-            ..good.clone()
+        for regions in [0, RegionEncoder::MAX_REGIONS + 1] {
+            let bad = DesignPoint {
+                bus: BusChoice::Xor(regions),
+                ..good.clone()
+            };
+            assert!(bad.validate().unwrap_err().contains("regions"), "{regions}");
+            // A space carrying the count is rejected before any evaluator
+            // trains on it.
+            let space = DesignSpace {
+                buses: vec![bad.bus],
+                ..DesignSpace::small()
+            };
+            assert!(space.validate().is_err(), "{regions}");
         }
-        .validate()
-        .is_err());
         assert!(DesignPoint {
             l0: 0,
             ..good.clone()

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use lpmem_core::flows::scheduling::{dsp_pipeline_app, run_scheduling, SchedulingOutcome};
     pub use lpmem_core::flows::system::{run_system, run_system_trace, SystemOutcome};
     pub use lpmem_core::flows::{
-        CmpReport, CmpSpec, FaultSpec, FlowSpec, FlowSummary, LlcCodec, Protection,
+        CmpReport, CmpSpec, CodecKind, FaultSpec, FlowSpec, FlowSummary, Protection,
         ReliabilityReport, Scenario, TechNode, VariantSpec,
     };
     pub use lpmem_core::{workloads, DeviceArchetype, FlowError, WorkloadMix};
