@@ -185,32 +185,49 @@ const FULL_FRONTIER: &[&str] = &[
     "{\"key\":\"b2-k1024-c2048x16x2-off-raw-l0256\",\"banks\":2,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"off\",\"bus\":\"raw\",\"l0\":256,\"energy_pj\":207063048.5623456,\"area_mm2\":3.155925610357807,\"cycles\":4266}",
 ];
 
-#[test]
-fn evolutionary_frontier_is_pinned_where_the_fallback_fires() {
-    let space = DesignSpace::full();
+/// The evolutionary frontier on the CMP space at the harness seed and a
+/// small budget. Its trajectory runs through CMP points, so a change to
+/// how any of them is priced (the per-core instruction buses, the shared
+/// LLC) shows up here. Regenerate as [`FULL_FRONTIER`].
+const CMP_FRONTIER: &[&str] = &[
+    "{\"key\":\"b4-k1024-c2048x16x2-diff-xor8-l0512\",\"banks\":4,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":195685190.6636811,\"area_mm2\":3.2013531245242377,\"cycles\":4226}",
+    "{\"key\":\"b8-k1024-c4096x64x2-diff-businv-l0512\",\"banks\":8,\"block\":1024,\"cache_bytes\":4096,\"cache_line\":64,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"businv\",\"l0\":512,\"energy_pj\":195700246.8250475,\"area_mm2\":3.2685815112439127,\"cycles\":4206}",
+    "{\"key\":\"b8-k2048-c2048x32x2-diff-gray-l01024\",\"banks\":8,\"block\":2048,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"gray\",\"l0\":1024,\"energy_pj\":196491183.06830722,\"area_mm2\":3.2506444435680324,\"cycles\":4206}",
+];
+
+/// Runs the harness-seeded evolutionary search on `space` and checks its
+/// frontier JSONL against `golden`, or prints it under
+/// `LPMEM_GOLDEN_PRINT`.
+fn check_pinned_frontier(space: &DesignSpace, budget: usize, golden: &[&str], name: &str) {
     let evaluator = Evaluator::new(tiny_workload()).expect("workload runs");
     let cfg = SearchConfig {
-        budget: 2048,
+        budget,
         workers: 2,
         seeds: grid_embeddings(),
         ..Default::default()
     };
     let out = Evolutionary::default()
-        .search(&space, &evaluator, &cfg)
+        .search(space, &evaluator, &cfg)
         .expect("search runs");
-    assert_eq!(out.evaluated, 2048);
+    assert_eq!(out.evaluated, budget);
     let jsonl = out.frontier.to_jsonl();
     if std::env::var_os("LPMEM_GOLDEN_PRINT").is_some() {
-        for line in jsonl.lines() {
-            println!("    {line:?},");
-        }
+        let lines: Vec<String> = jsonl.lines().map(|l| format!("    {l:?},")).collect();
+        println!("{name}:\n{}", lines.join("\n"));
         return;
     }
     let lines: Vec<&str> = jsonl.lines().collect();
-    assert_eq!(
-        lines, FULL_FRONTIER,
-        "full-space evolutionary frontier drifted"
-    );
+    assert_eq!(lines, golden, "{name} drifted");
+}
+
+#[test]
+fn evolutionary_frontier_is_pinned_where_the_fallback_fires() {
+    check_pinned_frontier(&DesignSpace::full(), 2048, FULL_FRONTIER, "FULL_FRONTIER");
+}
+
+#[test]
+fn evolutionary_cmp_frontier_is_pinned() {
+    check_pinned_frontier(&DesignSpace::cmp(), 64, CMP_FRONTIER, "CMP_FRONTIER");
 }
 
 #[test]
