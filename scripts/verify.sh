@@ -83,6 +83,18 @@ cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
     --threads 2 --jsonl target/explore_cmp_t2.jsonl
 cmp target/explore_cmp_t1.jsonl target/explore_cmp_t2.jsonl
 
+echo "==> explore golden: single-core pricing over the whole full space (DESIGN.md §8)"
+# Exhausting the 20,736-point full space takes well under a second; its
+# frontier must match the committed JSONL byte for byte, so a change that
+# moves a single-core price (a codec, a bus, a partition) stops here.
+# Regenerate it on purpose after a model change:
+#   explore --axes full --strategy exhaustive --budget 20736 \
+#       --jsonl crates/bench/tests/golden/explore_full.jsonl
+cargo run --release --locked --offline -p lpmem-bench --bin explore -- \
+    --axes full --strategy exhaustive --budget 20736 \
+    --jsonl target/explore_full_exhaustive.jsonl
+cmp target/explore_full_exhaustive.jsonl crates/bench/tests/golden/explore_full.jsonl
+
 echo "==> explore smoke: fault-scored worker byte-identity (DESIGN.md §8, §12)"
 # Under a fault spec the workers share the evaluator's campaign table too;
 # the frontier JSONL must still be byte-identical at any worker count.
