@@ -279,11 +279,6 @@ impl AffinityGraph {
         edges.sort_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
         edges
     }
-
-    /// Number of non-zero edges.
-    pub fn num_edges(&self) -> usize {
-        self.weights.len()
-    }
 }
 
 /// Union-find with cluster-size tracking.
@@ -497,7 +492,6 @@ mod tests {
         let g = AffinityGraph::from_trace(&t, 0, 1024, 3, 2).unwrap();
         assert_eq!(g.weight(0, 2), 3);
         assert_eq!(g.weight(0, 1), 0);
-        assert_eq!(g.num_edges(), 1);
     }
 
     #[test]

@@ -186,15 +186,6 @@ impl CompressionOutcome {
     pub fn energy_saving(&self) -> f64 {
         self.compressed.total().saving_vs(self.baseline.total())
     }
-
-    /// Fraction of off-chip beats eliminated.
-    pub fn traffic_saving(&self) -> f64 {
-        if self.raw_beats == 0 {
-            0.0
-        } else {
-            1.0 - self.actual_beats as f64 / self.raw_beats as f64
-        }
-    }
 }
 
 /// Replays the data side of `trace` through a D-cache in front of
@@ -378,20 +369,6 @@ mod tests {
         assert_eq!(out.size_histogram, [0, 0, 0, 0, 0, 0, 1, 4, 1]);
         let stored: u64 = (0u64..).zip(&out.size_histogram).map(|(i, n)| i * n).sum();
         assert_eq!(stored, 42);
-    }
-
-    #[test]
-    fn traffic_saving_consistent_with_beats() {
-        let out = run_compression_kernel(
-            Kernel::Fir,
-            48,
-            1,
-            PlatformKind::VliwLike,
-            &DiffCodec::new(),
-        )
-        .unwrap();
-        let expect = 1.0 - out.actual_beats as f64 / out.raw_beats as f64;
-        assert!((out.traffic_saving() - expect).abs() < 1e-12);
     }
 
     #[test]

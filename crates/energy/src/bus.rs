@@ -94,15 +94,6 @@ impl BusModel {
             .map(|w| (w[0] ^ w[1]).count_ones() as u64)
             .sum()
     }
-
-    /// Counts transitions of a 32-bit word stream (convenience for
-    /// instruction buses).
-    pub fn transitions32(words: &[u32]) -> u64 {
-        words
-            .windows(2)
-            .map(|w| (w[0] ^ w[1]).count_ones() as u64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +106,6 @@ mod tests {
         assert_eq!(BusModel::transitions(&[0xFF]), 0);
         assert_eq!(BusModel::transitions(&[0b1010, 0b0101]), 4);
         assert_eq!(BusModel::transitions(&[0, 1, 3, 7]), 3);
-        assert_eq!(BusModel::transitions32(&[0, u32::MAX]), 32);
     }
 
     #[test]

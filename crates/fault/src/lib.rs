@@ -87,11 +87,6 @@ impl Protection {
         32 + self.check_bits()
     }
 
-    /// Storage blow-up factor of the protected array, `(32 + c) / 32`.
-    pub fn storage_factor(self) -> f64 {
-        f64::from(self.total_bits()) / 32.0
-    }
-
     /// Encoder/decoder logic energy per word access in pJ, scaled off
     /// the technology's word-codec energy: a parity tree is ~31 XOR
     /// gates (a small fraction of a compressor stage), SECDED runs six
@@ -158,8 +153,6 @@ mod tests {
         assert!(
             Protection::Parity.access_energy_pj(&tech) < Protection::Secded.access_energy_pj(&tech)
         );
-        assert_eq!(Protection::None.storage_factor(), 1.0);
-        assert!((Protection::Secded.storage_factor() - 39.0 / 32.0).abs() < 1e-12);
         assert_eq!(Protection::None.area_overhead(&tech, 4096).total_mm2(), 0.0);
         let parity = Protection::Parity.area_overhead(&tech, 4096).total_mm2();
         let secded = Protection::Secded.area_overhead(&tech, 4096).total_mm2();

@@ -224,16 +224,6 @@ impl<B: Backing> RecordingBacking<B> {
         &self.write_backs
     }
 
-    /// Total bytes read from the backing (fills).
-    pub fn bytes_read(&self, line_bytes: u64) -> u64 {
-        self.fills.len() as u64 * line_bytes
-    }
-
-    /// Total bytes written to the backing.
-    pub fn bytes_written(&self) -> u64 {
-        self.write_backs.iter().map(|(_, d)| d.len() as u64).sum()
-    }
-
     /// Clears the recorded traffic, keeping the inner memory state.
     pub fn clear_log(&mut self) {
         self.fills.clear();
@@ -339,8 +329,6 @@ mod tests {
         r.write_block(0x200, &[1, 2, 3, 4]);
         assert_eq!(r.fills(), &[0x100]);
         assert_eq!(r.write_backs(), &[(0x200, vec![1, 2, 3, 4])]);
-        assert_eq!(r.bytes_read(16), 16);
-        assert_eq!(r.bytes_written(), 4);
         r.clear_log();
         assert!(r.fills().is_empty());
         // State survives the log clear.

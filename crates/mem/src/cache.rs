@@ -325,17 +325,6 @@ impl Cache {
         }
     }
 
-    /// Invalidates every line *without* writing back (for tests of dirty
-    /// data loss and for power-gating studies).
-    pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-                line.dirty = false;
-            }
-        }
-    }
-
     fn probe(&self, set: usize, tag: u64) -> Option<usize> {
         self.sets[set].iter().position(|l| l.valid && l.tag == tag)
     }
@@ -542,16 +531,6 @@ mod tests {
         let mut buf = [0u8; 4];
         c.read(14, &mut buf, &mut m);
         assert_eq!(buf, [1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn invalidate_drops_dirty_data() {
-        let mut c = cache(1 << 10, 16, 1);
-        let mut m = FlatMemory::new();
-        c.write_word(0, 0xFFFF_FFFF, &mut m);
-        c.invalidate_all();
-        // The write never reached the backing, so it is lost.
-        assert_eq!(c.read_word(0, &mut m), 0);
     }
 
     #[test]

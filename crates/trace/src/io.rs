@@ -14,7 +14,7 @@
 //! # Ok::<(), lpmem_trace::TraceError>(())
 //! ```
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use crate::{AccessKind, MemEvent, Trace, TraceError};
 
@@ -39,15 +39,6 @@ pub fn to_text(trace: &Trace) -> String {
         ));
     }
     out
-}
-
-/// Writes a trace to any [`Write`] sink.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the sink.
-pub fn write_text<W: Write>(trace: &Trace, mut sink: W) -> std::io::Result<()> {
-    sink.write_all(to_text(trace).as_bytes())
 }
 
 /// Parses the text form back into a trace.
@@ -152,9 +143,7 @@ mod tests {
     #[test]
     fn io_adapters_work() {
         let t = sample();
-        let mut buf = Vec::new();
-        write_text(&t, &mut buf).unwrap();
-        let back = read_text(std::io::Cursor::new(buf)).unwrap();
+        let back = read_text(std::io::Cursor::new(to_text(&t))).unwrap();
         assert_eq!(back, t);
     }
 

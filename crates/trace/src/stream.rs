@@ -361,16 +361,6 @@ pub struct WorkingSetReport {
 }
 
 impl WorkingSetReport {
-    /// Mean distinct blocks per complete window, or `None` when no window
-    /// completed.
-    pub fn mean_distinct(&self) -> Option<f64> {
-        if self.windows == 0 {
-            None
-        } else {
-            Some(self.distinct_sum as f64 / self.windows as f64)
-        }
-    }
-
     /// Computes the report from a materialized trace — an independent
     /// (chunk-based) implementation kept exactly equal to the streaming
     /// form by differential property tests.
@@ -667,7 +657,6 @@ mod tests {
         assert_eq!(r.max_distinct, 3);
         assert_eq!((r.tail_events, r.tail_distinct), (1, 1));
         assert_eq!(r, WorkingSetReport::from_trace(&t, 64, 3).unwrap());
-        assert!((r.mean_distinct().unwrap() - 2.5).abs() < 1e-12);
     }
 
     #[test]

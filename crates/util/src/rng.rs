@@ -185,22 +185,6 @@ impl Rng {
         // Floating-point slack: fall back to the last non-zero weight.
         weights.iter().rposition(|&w| w > 0.0)
     }
-
-    /// Element drawn with probability proportional to its paired weight.
-    ///
-    /// Returns `None` under the same conditions as [`Rng::weighted_index`].
-    pub fn choose_weighted<'a, T>(&mut self, items: &'a [(T, f64)]) -> Option<&'a T> {
-        let weights: Vec<f64> = items.iter().map(|(_, w)| *w).collect();
-        self.weighted_index(&weights).map(|i| &items[i].0)
-    }
-
-    /// Fills a byte slice with uniform random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// Ranges that [`Rng::gen_range`] can sample from.
@@ -411,9 +395,8 @@ mod tests {
         assert_eq!(rng.choose(&[42]), Some(&42));
 
         // A dominant weight must dominate the draw.
-        let items = [("rare", 1.0), ("common", 99.0)];
         let common = (0..5_000)
-            .filter(|_| *rng.choose_weighted(&items).unwrap() == "common")
+            .filter(|_| rng.weighted_index(&[1.0, 99.0]) == Some(1))
             .count();
         assert!(common > 4_700, "common drawn {common}/5000");
 
@@ -422,17 +405,6 @@ mod tests {
         assert_eq!(rng.weighted_index(&[0.0, 1.0, 0.0]), Some(1));
         assert_eq!(rng.weighted_index(&[1.0, f64::NAN]), None);
         assert_eq!(rng.weighted_index(&[-1.0, 2.0]), None);
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = Rng::seed_from_u64(31);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(
-            buf.iter().any(|&b| b != 0),
-            "13 random bytes are never all zero"
-        );
     }
 
     #[test]
