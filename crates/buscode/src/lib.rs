@@ -552,7 +552,8 @@ impl RegionEncoder {
     /// [`RegionEncoder::evaluate`] over any fetch stream, in one pass.
     pub fn evaluate_on(&self, stream: impl Iterator<Item = (u64, u32)>) -> EncodingReport {
         let tables = self.byte_tables();
-        let mut words = stream.map(|(a, w)| (w, tables[self.region_index(a)].encode(w)));
+        let mut regions = RegionCursor::new(self);
+        let mut words = stream.map(|(a, w)| (w, tables[regions.index(a)].encode(w)));
         let mut raw = 0u64;
         let mut encoded = 0u64;
         if let Some(mut prev) = words.next() {
@@ -583,6 +584,48 @@ impl RegionEncoder {
             .zip(encoded)
             .map(|(&a, &w)| self.transform_for(a).decode(w))
             .collect()
+    }
+}
+
+/// [`RegionEncoder::region_index`] for a stream whose consecutive
+/// addresses often stay in one region: it keeps the last region's address
+/// bounds and divides only when an address leaves them.
+struct RegionCursor<'a> {
+    encoder: &'a RegionEncoder,
+    /// Inclusive address bounds of region `index` (empty before the first
+    /// lookup).
+    lo: u64,
+    hi: u64,
+    index: usize,
+}
+
+impl<'a> RegionCursor<'a> {
+    fn new(encoder: &'a RegionEncoder) -> Self {
+        RegionCursor {
+            encoder,
+            lo: 1,
+            hi: 0,
+            index: 0,
+        }
+    }
+
+    fn index(&mut self, addr: u64) -> usize {
+        if addr < self.lo || addr > self.hi {
+            let e = self.encoder;
+            let index = e.region_index(addr);
+            // A region past the first starts at or below `addr`, so its
+            // start does not overflow. The first region also holds every
+            // address below `base`, the last every address above its start.
+            let start = e.base + index as u64 * e.region_bytes;
+            self.lo = if index == 0 { 0 } else { start };
+            self.hi = if index + 1 == e.num_regions() {
+                u64::MAX
+            } else {
+                start.saturating_add(e.region_bytes - 1)
+            };
+            self.index = index;
+        }
+        self.index
     }
 }
 
@@ -866,6 +909,48 @@ mod tests {
             }
             let oracle: Vec<XorTransform> = deltas.iter().map(|d| brute_force_train(d)).collect();
             assert_eq!(encoder.transforms, oracle);
+        });
+    }
+
+    #[test]
+    fn region_cursor_agrees_with_region_index() {
+        Props::new("region cursor agrees with region_index").run(|rng| {
+            let regions = rng.gen_range(1..=RegionEncoder::MAX_REGIONS);
+            let region_bytes = 4 * rng.gen_range(1..1u64 << 12);
+            let base = if rng.gen_bool(0.1) {
+                u64::MAX - rng.gen_range(0..1u64 << 20)
+            } else {
+                rng.gen_range(0..1u64 << 24)
+            };
+            let encoder = RegionEncoder {
+                base,
+                region_bytes,
+                transforms: vec![XorTransform::identity(); regions],
+            };
+            let start = |r: u64| base.saturating_add(r.saturating_mul(region_bytes));
+            let mut cursor = RegionCursor::new(&encoder);
+            let mut addr = base;
+            for _ in 0..256 {
+                addr = match rng.gen_range(0..8u32) {
+                    // Below the first region.
+                    0 => rng.gen_range(0..=base),
+                    // Past the last region, up to the top of the space.
+                    1 => start(regions as u64).saturating_add(rng.gen_range(0..1u64 << 16)),
+                    2 => u64::MAX - rng.gen_range(0..8u64),
+                    // On either side of a region edge.
+                    3 => {
+                        start(rng.gen_range(0..=regions as u64)).saturating_sub(rng.gen_range(0..2))
+                    }
+                    4 => rng.next_u64(),
+                    // A fetch step, which may cross an edge.
+                    _ => addr.wrapping_add(4),
+                };
+                assert_eq!(
+                    cursor.index(addr),
+                    encoder.region_index(addr),
+                    "{addr:#x} in {regions} regions of {region_bytes:#x} from {base:#x}"
+                );
+            }
         });
     }
 

@@ -10,6 +10,8 @@
 //! only in the energy/area pricing at the end and in the gating
 //! threshold comparison (a pure function of the spec).
 
+use std::borrow::Borrow;
+
 use lpmem_compress::{CodecKind, LineCodec};
 use lpmem_energy::{AreaReport, Energy, EnergyReport, OffChipModel, SramModel, Technology};
 use lpmem_fault::{run_campaign, BankExposure, FaultExposure, FaultSpec, ReliabilityReport};
@@ -168,6 +170,11 @@ impl TrafficRouter {
 /// Runs the active CMP scenario: interleaved L1 replay, shared LLC,
 /// gating, pricing, and the optional LLC fault campaign.
 ///
+/// The runs are borrowed, owned or shared (`&[CoreRun]` or
+/// `&[Arc<CoreRun>]`), and left as they are: each trace's data events are
+/// read in place, and each core's L1 replays against its own copy of the
+/// run's data image.
+///
 /// # Panics
 ///
 /// Panics when `spec` is disabled or a passthrough (callers route those
@@ -178,7 +185,7 @@ pub fn simulate_cmp(
     spec: &CmpSpec,
     l1: CacheConfig,
     base: &Technology,
-    runs: Vec<CoreRun>,
+    runs: &[impl Borrow<CoreRun>],
     fault: &FaultSpec,
     seed: u64,
 ) -> CmpOutcome {
@@ -202,18 +209,10 @@ pub fn simulate_cmp(
         compressed: spec.codec != CodecKind::Off,
     };
 
-    // Per-core data event streams; the tick clock is one data event.
-    let events: Vec<Vec<MemEvent>> = runs
-        .iter()
-        .map(|r| {
-            r.trace
-                .iter()
-                .copied()
-                .filter(|e| e.kind.is_data())
-                .collect()
-        })
-        .collect();
-    let total_events: u64 = events.iter().map(|e| e.len() as u64).sum();
+    // Per-core data event streams, read in place from the traces; the
+    // tick clock is one data event.
+    let traces: Vec<&Trace> = runs.iter().map(|r| &r.borrow().trace).collect();
+    let total_events: u64 = traces.iter().map(|t| data_events(t).count() as u64).sum();
 
     // Bank-to-technology assignment via the partition machinery.
     let partition = spec.tech_partition();
@@ -229,9 +228,9 @@ pub fn simulate_cmp(
     // then bank index) until the LLC's standby power fits the budget.
     let probe = NucaLlc::new(cfg);
     let mut heat = vec![0u64; banks];
-    for (core, evs) in events.iter().enumerate() {
+    for (core, trace) in traces.iter().enumerate() {
         let core = u32::try_from(core).expect("core count below u32::MAX");
-        for ev in evs {
+        for ev in data_events(trace) {
             heat[probe.bank_of(core, ev.addr) as usize] += 1;
         }
     }
@@ -273,19 +272,15 @@ pub fn simulate_cmp(
     };
     let mut caches: Vec<Cache> = (0..runs.len()).map(|_| Cache::new(l1)).collect();
     let mut mems: Vec<RecordingBacking<FlatMemory>> = runs
-        .into_iter()
-        .map(|r| RecordingBacking::new(r.image))
+        .iter()
+        .map(|r| RecordingBacking::new(r.borrow().image.clone()))
         .collect();
-    let mut pos = vec![0usize; events.len()];
+    let mut streams: Vec<_> = traces.iter().map(|t| data_events(t)).collect();
     let quantum = spec.quantum as usize;
     let mut remaining = total_events;
     while remaining > 0 {
-        for core in 0..events.len() {
-            let evs = &events[core];
-            let take = quantum.min(evs.len() - pos[core]);
-            for _ in 0..take {
-                let ev = evs[pos[core]];
-                pos[core] += 1;
+        for (core, stream) in streams.iter_mut().enumerate() {
+            for ev in stream.by_ref().take(quantum) {
                 let n = (ev.size as usize).min(4);
                 match ev.kind {
                     AccessKind::Read => {
@@ -299,11 +294,11 @@ pub fn simulate_cmp(
                     AccessKind::InstrFetch => unreachable!("fetches are filtered out"),
                 }
                 drain_l1_traffic(&mut router, &mut mems[core], core, line_bytes);
+                remaining -= 1;
             }
-            remaining -= take as u64;
         }
     }
-    for core in 0..events.len() {
+    for core in 0..runs.len() {
         caches[core].flush(&mut mems[core]);
         drain_l1_traffic(&mut router, &mut mems[core], core, line_bytes);
     }
@@ -339,19 +334,22 @@ fn drain_l1_traffic(
         return;
     }
     let core = u32::try_from(core).expect("core count below u32::MAX");
-    let write_backs: Vec<(u64, Vec<u8>)> = mem.write_backs().to_vec();
-    let fills: Vec<u64> = mem.fills().to_vec();
-    mem.clear_log();
-    for (addr, data) in &write_backs {
+    for (addr, data) in mem.write_backs() {
         router.line_traffic(core, *addr, data, true);
     }
     let mut line = vec![0u8; line_bytes as usize];
-    for &addr in &fills {
+    for &addr in mem.fills() {
         for (i, byte) in line.iter_mut().enumerate() {
             *byte = mem.inner().read_u8(addr + i as u64);
         }
         router.line_traffic(core, addr, &line, false);
     }
+    mem.clear_log();
+}
+
+/// A trace's data events (reads and writes) in trace order, read in place.
+fn data_events(trace: &Trace) -> impl Iterator<Item = &MemEvent> {
+    trace.iter().filter(|e| e.kind.is_data())
 }
 
 /// Converts the run's integer counters into energy/area/reliability.
@@ -561,12 +559,43 @@ mod tests {
         let spec = CmpSpec::quad();
         let base = Technology::tech180();
         let fault = FaultSpec::accelerated(Protection::Secded);
-        let a = simulate_cmp(&spec, l1(), &base, runs(&spec, 4000), &fault, 2003);
-        let b = simulate_cmp(&spec, l1(), &base, runs(&spec, 4000), &fault, 2003);
+        let a = simulate_cmp(&spec, l1(), &base, &runs(&spec, 4000), &fault, 2003);
+        let b = simulate_cmp(&spec, l1(), &base, &runs(&spec, 4000), &fault, 2003);
         assert_eq!(a, b);
         assert!(a.events == 16_000);
         assert!(a.report.llc_lookups > 0);
         assert!(a.report.cycles > a.events);
+    }
+
+    #[test]
+    fn borrowed_runs_replay_identically_and_stay_unchanged() {
+        let spec = CmpSpec::quad();
+        let base = Technology::tech180();
+        let fault = FaultSpec::accelerated(Protection::Secded);
+        let mut cores = runs(&spec, 4000);
+        for (c, run) in (0u32..).zip(&mut cores) {
+            run.image.write_u32(0x1000, 0xC0DE_0000 + c);
+            run.image.write_u32(0x8000, c);
+        }
+        let images = |cores: &[CoreRun]| -> Vec<Vec<(u64, Vec<u8>)>> {
+            cores
+                .iter()
+                .map(|r| {
+                    let pages = r.image.pages_sorted().into_iter();
+                    pages.map(|(addr, page)| (addr, page.to_vec())).collect()
+                })
+                .collect()
+        };
+        let before = images(&cores);
+        let a = simulate_cmp(&spec, l1(), &base, &cores, &fault, 2003);
+        let b = simulate_cmp(&spec, l1(), &base, &cores, &fault, 2003);
+        assert_eq!(a, b);
+        // Each replay writes back into its own copies of the images.
+        assert_eq!(images(&cores), before);
+        // Shared runs replay exactly like owned ones.
+        let shared: Vec<std::sync::Arc<CoreRun>> =
+            cores.iter().cloned().map(std::sync::Arc::new).collect();
+        assert_eq!(simulate_cmp(&spec, l1(), &base, &shared, &fault, 2003), a);
     }
 
     #[test]
@@ -578,8 +607,8 @@ mod tests {
         };
         let base = Technology::tech180();
         let off = FaultSpec::off();
-        let dark = simulate_cmp(&budgeted, l1(), &base, runs(&budgeted, 4000), &off, 7);
-        let lit = simulate_cmp(&unbudgeted, l1(), &base, runs(&unbudgeted, 4000), &off, 7);
+        let dark = simulate_cmp(&budgeted, l1(), &base, &runs(&budgeted, 4000), &off, 7);
+        let lit = simulate_cmp(&unbudgeted, l1(), &base, &runs(&unbudgeted, 4000), &off, 7);
         // The t90 half leaks 256 µW per 32 KiB bank; a 600 µW budget
         // must gate some of it.
         assert!(dark.report.dark_banks > 0, "{:?}", dark.report);
@@ -603,8 +632,8 @@ mod tests {
         };
         let base = Technology::tech180();
         let off = FaultSpec::off();
-        let zrun = simulate_cmp(&compressed, l1(), &base, runs(&compressed, 4000), &off, 7);
-        let raw = simulate_cmp(&plain, l1(), &base, runs(&plain, 4000), &off, 7);
+        let zrun = simulate_cmp(&compressed, l1(), &base, &runs(&compressed, 4000), &off, 7);
+        let raw = simulate_cmp(&plain, l1(), &base, &runs(&plain, 4000), &off, 7);
         assert!(zrun.report.llc_compressed_lines > 0);
         assert_eq!(raw.report.llc_compressed_lines, 0);
         // Compressed placement holds more lines, so fewer beats leave the
@@ -626,8 +655,8 @@ mod tests {
         let base = Technology::tech180();
         let protected = FaultSpec::accelerated(Protection::Secded);
         let bare = FaultSpec::accelerated(Protection::None);
-        let sec = simulate_cmp(&spec, l1(), &base, runs(&spec, 20_000), &protected, 2003);
-        let none = simulate_cmp(&spec, l1(), &base, runs(&spec, 20_000), &bare, 2003);
+        let sec = simulate_cmp(&spec, l1(), &base, &runs(&spec, 20_000), &protected, 2003);
+        let none = simulate_cmp(&spec, l1(), &base, &runs(&spec, 20_000), &bare, 2003);
         let sec_rel = sec.reliability.expect("campaign ran");
         let none_rel = none.reliability.expect("campaign ran");
         assert!(sec_rel.injected > 0);
@@ -653,8 +682,8 @@ mod tests {
         };
         let base = Technology::tech180();
         let off = FaultSpec::off();
-        let h = simulate_cmp(&hetero, l1(), &base, runs(&hetero, 4000), &off, 7);
-        let t180 = simulate_cmp(&homo, l1(), &base, runs(&homo, 4000), &off, 7);
+        let h = simulate_cmp(&hetero, l1(), &base, &runs(&hetero, 4000), &off, 7);
+        let t180 = simulate_cmp(&homo, l1(), &base, &runs(&homo, 4000), &off, 7);
         // The t90 half leaks an order of magnitude more.
         assert!(
             h.optimized.component("llc.leak.lit") > 2.0 * t180.optimized.component("llc.leak.lit")

@@ -86,49 +86,91 @@ pub struct BusPrice {
     pub gates: Energy,
 }
 
+/// Integer bus counts of one or more fetch streams on one bus choice, the
+/// input of a [`BusPrice`]. Counts of several private buses add before
+/// they are priced, so a sum of per-stream counts prices exactly like the
+/// streams priced together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BusCounts {
+    /// Fetches over all the streams.
+    pub fetches: u64,
+    /// Line transitions of the unencoded streams.
+    pub raw: u64,
+    /// Line transitions of the encoded streams.
+    pub encoded: u64,
+}
+
+impl BusCounts {
+    /// Counts a trace's fetch stream, read in place, on one private bus
+    /// encoded as `bus` (an XOR bus trains on this stream).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::InvalidSpec`] for an XOR region count
+    /// [`check_regions`] rejects and [`FlowError::EmptyInput`] for a trace
+    /// without instruction fetches.
+    pub fn of(trace: &Trace, bus: BusChoice) -> Result<BusCounts, FlowError> {
+        if let BusChoice::Xor(regions) = bus {
+            check_regions(regions)?;
+        }
+        let stream = fetches_of(trace);
+        let fetches = stream.clone().count() as u64;
+        if fetches == 0 {
+            return Err(FlowError::EmptyInput("trace has no instruction fetches"));
+        }
+        let (raw, encoded) = bus.transitions(stream);
+        Ok(BusCounts {
+            fetches,
+            raw,
+            encoded,
+        })
+    }
+
+    /// Prices the counted streams' 32-line on-chip buses, all encoded as
+    /// `bus`.
+    pub fn price(self, bus: BusChoice, tech: &Technology) -> BusPrice {
+        let model = BusModel::onchip(tech, 32);
+        BusPrice {
+            fetches: self.fetches,
+            raw: model.energy_of(self.raw),
+            encoded: model.energy_of(self.encoded),
+            gates: if bus == BusChoice::Raw {
+                Energy::ZERO
+            } else {
+                codec_gate_energy(&model, self.raw, self.encoded)
+            },
+        }
+    }
+}
+
+impl std::ops::AddAssign for BusCounts {
+    fn add_assign(&mut self, other: BusCounts) {
+        self.fetches += other.fetches;
+        self.raw += other.raw;
+        self.encoded += other.encoded;
+    }
+}
+
 /// Prices the instruction buses that carry the fetch streams of `traces`,
 /// one private 32-line on-chip bus per trace, all encoded as `bus` (an XOR
-/// bus trains on its own stream). Raw and encoded transitions are summed
-/// over the streams in order and priced once; each stream is read in
-/// place from its trace, never collected. The system flow, the CMP flow
-/// and the explorer all price their buses here.
+/// bus trains on its own stream). The [`BusCounts`] of the streams are
+/// summed in order and priced once. The system flow and the CMP flow price
+/// their buses here; the explorer sums memoized per-core counts the same
+/// way.
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::InvalidSpec`] for an XOR region count
-/// [`check_regions`] rejects and [`FlowError::EmptyInput`] for a trace
-/// without instruction fetches.
+/// As [`BusCounts::of`], for the first trace it rejects.
 pub fn price_bus<'a>(
     traces: impl IntoIterator<Item = &'a Trace>,
     bus: BusChoice,
     tech: &Technology,
 ) -> Result<BusPrice, FlowError> {
-    if let BusChoice::Xor(regions) = bus {
-        check_regions(regions)?;
-    }
-    let (mut fetches, mut raw, mut encoded) = (0u64, 0u64, 0u64);
+    let mut counts = BusCounts::default();
     for trace in traces {
-        let stream = fetches_of(trace);
-        let count = stream.clone().count() as u64;
-        if count == 0 {
-            return Err(FlowError::EmptyInput("trace has no instruction fetches"));
-        }
-        let (r, e) = bus.transitions(stream);
-        fetches += count;
-        raw += r;
-        encoded += e;
+        counts += BusCounts::of(trace, bus)?;
     }
-    let model = BusModel::onchip(tech, 32);
-    Ok(BusPrice {
-        fetches,
-        raw: model.energy_of(raw),
-        encoded: model.energy_of(encoded),
-        gates: if bus == BusChoice::Raw {
-            Energy::ZERO
-        } else {
-            codec_gate_energy(&model, raw, encoded)
-        },
-    })
+    Ok(counts.price(bus, tech))
 }
 
 /// Checks a bus-encoder region count before any flow trains on it: from

@@ -55,11 +55,30 @@ fn core_seed(seed: u64, core: u32) -> u64 {
     }
 }
 
-/// Builds the per-core workloads of a CMP run: core `i` executes
-/// `core_kernel(kernel, i)` at the shared scale on `core_seed(seed, i)`.
+/// Builds core `core`'s workload of a CMP run: it executes
+/// `core_kernel(kernel, core)` at the shared scale on
+/// `core_seed(seed, core)`, so the run depends on nothing else.
 ///
-/// Public so the design-space explorer can feed the same multi-programmed
-/// workload into [`simulate_cmp`] under its own cache geometry.
+/// Public so the design-space explorer can build each core's run once and
+/// feed the same multi-programmed workload into [`simulate_cmp`] under its
+/// own cache geometry.
+///
+/// # Errors
+///
+/// Propagates kernel generation errors.
+pub fn cmp_core_run(
+    kernel: Kernel,
+    scale: u32,
+    seed: u64,
+    core: u32,
+) -> Result<CoreRun, FlowError> {
+    let (trace, image) =
+        kernel_trace_and_image(core_kernel(kernel, core), scale, core_seed(seed, core))?;
+    Ok(CoreRun { trace, image })
+}
+
+/// Builds the per-core workloads of a CMP run: [`cmp_core_run`] of each
+/// core `0..cores`.
 ///
 /// # Errors
 ///
@@ -71,11 +90,7 @@ pub fn cmp_core_runs(
     cores: u32,
 ) -> Result<Vec<CoreRun>, FlowError> {
     (0..cores)
-        .map(|c| {
-            let (trace, image) =
-                kernel_trace_and_image(core_kernel(kernel, c), scale, core_seed(seed, c))?;
-            Ok(CoreRun { trace, image })
-        })
+        .map(|c| cmp_core_run(kernel, scale, seed, c))
         .collect()
 }
 
@@ -168,7 +183,7 @@ pub fn run_cmp(
     )?;
 
     // Data side: the shared-LLC simulation.
-    let sim = simulate_cmp(cmp, l1, &technology, runs, fault, seed);
+    let sim = simulate_cmp(cmp, l1, &technology, &runs, fault, seed);
 
     let mut baseline = sim.baseline.total();
     baseline += ibus.raw;

@@ -9,7 +9,7 @@ pub mod scheduling;
 pub mod spec;
 pub mod system;
 
-pub use cmp::{cmp_core_runs, run_cmp};
+pub use cmp::{cmp_core_run, cmp_core_runs, run_cmp};
 pub use spec::{data_memory_exposure, FlowSpec, FlowSummary, Scenario, TechNode, VariantSpec};
 
 // Reliability surface, re-exported so harness crates reach the fault

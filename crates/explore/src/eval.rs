@@ -2,10 +2,13 @@
 //!
 //! The evaluator runs the workload **once** at construction and replays the
 //! captured trace, fetch stream, and generated scheduling application
-//! against each candidate configuration. Scoring is a pure function of the
-//! point, so results are identical at any worker count; per-axis
-//! memoization only avoids recomputing a sub-flow two points share — the
-//! cached value is the value every thread would have computed.
+//! against each candidate configuration. A CMP point's cores run their own
+//! kernels; each core's run is built once, on first need, and kept for the
+//! evaluator's life, so every CMP point replays the same resident runs.
+//! Scoring is a pure function of the point, so results are identical at any
+//! worker count; per-axis memoization only avoids recomputing a sub-flow
+//! two points share — the cached value is the value every thread would have
+//! computed.
 //!
 //! Memoization is one table per sub-flow behind one mutex, shared by
 //! every worker. A sub-flow key is looked up under the lock; a missing
@@ -14,7 +17,8 @@
 //! pure function of its key, so either insert stores the same value and
 //! results stay byte-identical at any worker count. The lock never spans
 //! a sub-flow: a cold CMP evaluation runs for milliseconds and would
-//! serialize the workers.
+//! serialize the workers. The CMP core runs sit apart, behind a lock of
+//! their own that does span a core's build (`Evaluator::core_run`).
 //!
 //! The modeled platform is a scratchpad-plus-cached-heap embedded SoC: the
 //! partitioned/clustered scratchpad (1B.1) and the compressed write-back
@@ -27,13 +31,13 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use lpmem_buscode::BusChoice;
 use lpmem_cmp::{simulate_cmp, CmpReport, CmpSpec, CoreRun};
 use lpmem_compress::{CodecKind, RawCodec};
-use lpmem_core::flows::buscoding::{price_bus, BusPrice};
-use lpmem_core::flows::cmp::cmp_core_runs;
+use lpmem_core::flows::buscoding::{BusCounts, BusPrice};
+use lpmem_core::flows::cmp::cmp_core_run;
 use lpmem_core::flows::compression::{run_compression_trace, CompressionConfig};
 use lpmem_core::flows::partitioning::{run_partitioning, PartitioningConfig};
 use lpmem_core::flows::scheduling::{dsp_pipeline_app, run_scheduling};
@@ -174,7 +178,7 @@ struct CmpEval {
 struct Memo {
     part: HashMap<(usize, u64), PartEval>,
     comp: HashMap<(CacheGeom, CodecKind), CompEval>,
-    bus: HashMap<(u32, BusChoice), BusPrice>,
+    bus: HashMap<(u32, BusChoice), BusCounts>,
     sched: HashMap<u64, f64>,
     fault: HashMap<(usize, u64), FaultEval>,
     cmp: HashMap<(CmpSpec, CacheGeom), CmpEval>,
@@ -190,6 +194,7 @@ pub struct Evaluator {
     data_accesses: u64,
     app: AppSpec,
     memo: Mutex<Memo>,
+    core_runs: Mutex<Vec<Option<Arc<CoreRun>>>>,
 }
 
 impl Evaluator {
@@ -236,6 +241,7 @@ impl Evaluator {
             data_accesses,
             app,
             memo: Mutex::new(Memo::default()),
+            core_runs: Mutex::new(Vec::new()),
         })
     }
 
@@ -262,10 +268,7 @@ impl Evaluator {
     pub fn evaluate(&self, point: &DesignPoint) -> Result<Evaluation, FlowError> {
         let part = self.partitioning(point.banks, point.block)?;
         let cores = point.cmp.as_ref().map_or(1, |spec| spec.cores);
-        // A CMP point's two core-set sub-flows share one build of the
-        // cores' runs when both miss.
-        let mut runs = None;
-        let ibus = self.ibus(cores, point.bus, &mut runs)?;
+        let ibus = self.ibus(cores, point.bus)?;
         let ibus_pj = (ibus.encoded + ibus.gates).as_pj();
         let sched_pj = self.scheduling(point.l0)?;
 
@@ -299,7 +302,7 @@ impl Evaluator {
                 // write-back path — so the `codec` axis (write-back
                 // compression hardware) is idle here and charges nothing;
                 // in-LLC compression is the scenario's `codec` knob.
-                let cmp = self.cmp(spec, point.cache, runs)?;
+                let cmp = self.cmp(spec, point.cache)?;
                 let cores = f64::from(cores);
                 energy_pj = part.energy_pj + sched_pj + (ibus_pj + cmp.energy_pj);
                 area.add("dcache.macro", sram.area_mm2(point.cache.size) * cores);
@@ -429,27 +432,27 @@ impl Evaluator {
 
     /// The price of `cores` private instruction buses, each encoded as
     /// `bus` and trained on its own core's fetch stream, as
-    /// [`run_cmp`](lpmem_core::flows::run_cmp) prices them. Core 0 of a CMP
-    /// run is the evaluator's own kernel and seed, so one core prices the
-    /// captured trace. More cores price the core set in `runs`, built
-    /// there on a miss and left for [`Evaluator::cmp`].
-    fn ibus(
-        &self,
-        cores: u32,
-        bus: BusChoice,
-        runs: &mut Option<Vec<CoreRun>>,
-    ) -> Result<BusPrice, FlowError> {
+    /// [`run_cmp`](lpmem_core::flows::run_cmp) prices them: the cores'
+    /// counts are summed, then priced once. One core is the single-core
+    /// bus.
+    fn ibus(&self, cores: u32, bus: BusChoice) -> Result<BusPrice, FlowError> {
+        let mut counts = BusCounts::default();
+        for core in 0..cores {
+            counts += self.bus_counts(core, bus)?;
+        }
+        Ok(counts.price(bus, &self.tech))
+    }
+
+    /// Core `core`'s bus counts. Core 0 of a CMP run is the evaluator's own
+    /// kernel and seed, so it counts the captured trace without building
+    /// a core run.
+    fn bus_counts(&self, core: u32, bus: BusChoice) -> Result<BusCounts, FlowError> {
         self.cached(
             |m| &mut m.bus,
-            (cores, bus),
-            || {
-                if cores == 1 {
-                    return price_bus([&self.trace], bus, &self.tech);
-                }
-                if runs.is_none() {
-                    *runs = Some(self.core_runs(cores)?);
-                }
-                price_bus(runs.iter().flatten().map(|run| &run.trace), bus, &self.tech)
+            (core, bus),
+            || match core {
+                0 => BusCounts::of(&self.trace, bus),
+                _ => BusCounts::of(&self.core_run(core)?.trace, bus),
             },
         )
     }
@@ -492,28 +495,21 @@ impl Evaluator {
     }
 
     /// Shared-LLC outcome of one CMP scenario over the workload's
-    /// multi-programmed core set, replaying `runs` when [`Evaluator::ibus`]
-    /// already built them. Depends only on `(spec, cache)` — the workload,
-    /// fault axis, and seed are fixed per evaluator.
-    fn cmp(
-        &self,
-        spec: &CmpSpec,
-        cache: CacheGeom,
-        runs: Option<Vec<CoreRun>>,
-    ) -> Result<CmpEval, FlowError> {
+    /// multi-programmed core set. Depends only on `(spec, cache)` — the
+    /// workload, fault axis, and seed are fixed per evaluator.
+    fn cmp(&self, spec: &CmpSpec, cache: CacheGeom) -> Result<CmpEval, FlowError> {
         self.cached(
             |m| &mut m.cmp,
             (spec.clone(), cache),
             || {
-                let runs = match runs {
-                    Some(runs) => runs,
-                    None => self.core_runs(spec.cores)?,
-                };
+                let runs = (0..spec.cores)
+                    .map(|core| self.core_run(core))
+                    .collect::<Result<Vec<_>, _>>()?;
                 let out = simulate_cmp(
                     spec,
                     cache.config()?,
                     &self.tech,
-                    runs,
+                    &runs,
                     &self.fault,
                     self.workload.seed,
                 );
@@ -528,10 +524,30 @@ impl Evaluator {
         )
     }
 
-    /// The workload's multi-programmed set of `cores` core runs.
-    fn core_runs(&self, cores: u32) -> Result<Vec<CoreRun>, FlowError> {
+    /// Core `core`'s run of the workload's multi-programmed set, built on
+    /// first need and kept for the evaluator's life: a run depends only on
+    /// the workload and the core index, so every CMP point shares it.
+    ///
+    /// The run is built under the slots' own lock, not the memo's: every
+    /// worker needs the same few runs, and a worker that waits here would
+    /// otherwise build the same run again beside the first.
+    fn core_run(&self, core: u32) -> Result<Arc<CoreRun>, FlowError> {
+        let mut slots = lock(&self.core_runs);
+        let slot = core as usize;
+        if slots.len() <= slot {
+            slots.resize(slot + 1, None);
+        }
+        if let Some(run) = &slots[slot] {
+            return Ok(Arc::clone(run));
+        }
         let w = &self.workload;
-        cmp_core_runs(w.kernel, w.scale, w.seed, cores)
+        let mut run = cmp_core_run(w.kernel, w.scale, w.seed, core)?;
+        // The kernel run reserves room for up to 2^17 events; a kept run
+        // holds only its own.
+        run.trace.shrink_to_fit();
+        let run = Arc::new(run);
+        slots[slot] = Some(Arc::clone(&run));
+        Ok(run)
     }
 
     fn gate_area_mm2(&self, gates: u64) -> f64 {
@@ -739,6 +755,7 @@ mod tests {
     #[test]
     fn cmp_points_price_every_cores_own_instruction_bus() {
         use lpmem_core::flows::buscoding::{codec_gate_energy, run_buscoding};
+        use lpmem_core::flows::cmp_core_runs;
         use lpmem_energy::{BusModel, Energy};
         let workload = tiny_workload();
         let eval = Evaluator::new(workload.clone()).unwrap();
@@ -771,6 +788,59 @@ mod tests {
         // Only the bus term moved.
         assert_eq!(xor.cmp, raw.cmp);
         assert_eq!(xor.objectives.cycles, raw.objectives.cycles);
+    }
+
+    #[test]
+    fn cmp_evaluations_do_not_depend_on_core_count_order() {
+        use lpmem_util::pool::parallel_map;
+        let space = DesignSpace::small();
+        let chips = |cores| -> Vec<DesignPoint> {
+            [(BusChoice::Xor(4), 5), (BusChoice::Raw, 17)]
+                .into_iter()
+                .map(|(bus, i)| DesignPoint {
+                    bus,
+                    cmp: Some(CmpSpec {
+                        cores,
+                        ..CmpSpec::quad()
+                    }),
+                    ..space.point_at(i)
+                })
+                .collect()
+        };
+        let (two, four, eight) = (chips(2), chips(4), chips(8));
+        let points: Vec<DesignPoint> = [&two, &four, &eight]
+            .into_iter()
+            .flatten()
+            .cloned()
+            .collect();
+        // Each point on an evaluator of its own: no core run built before.
+        let expected: Vec<Evaluation> = points
+            .iter()
+            .map(|p| {
+                Evaluator::new(tiny_workload())
+                    .unwrap()
+                    .evaluate(p)
+                    .unwrap()
+            })
+            .collect();
+        for workers in [1, 2] {
+            // Core sets grown 2 -> 4 -> 8, and built at 8 cores before 2
+            // and 4 are asked for: every stage, and a warm pass over all
+            // the points afterwards, agrees with the fresh evaluations.
+            for stages in [[&two, &four, &eight], [&eight, &two, &four]] {
+                let eval = Evaluator::new(tiny_workload()).unwrap();
+                for stage in stages {
+                    let got = parallel_map(stage.clone(), workers, |p| eval.evaluate(&p).unwrap());
+                    let want: Vec<&Evaluation> = stage
+                        .iter()
+                        .map(|p| &expected[points.iter().position(|q| q == p).unwrap()])
+                        .collect();
+                    assert_eq!(got.iter().collect::<Vec<_>>(), want, "{workers} workers");
+                }
+                let warm = parallel_map(points.clone(), workers, |p| eval.evaluate(&p).unwrap());
+                assert_eq!(warm, expected, "{workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,35 @@ fn repo_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn check_span(span: Span, src: &str, what: &str, rel: &str) {
+/// One file under check: its text and the byte offset of every line
+/// start, so a span's line is a binary search instead of a newline count
+/// from the start of the file.
+struct Source<'a> {
+    rel: &'a str,
+    text: &'a str,
+    line_starts: Vec<usize>,
+}
+
+impl<'a> Source<'a> {
+    fn new(rel: &'a str, text: &'a str) -> Self {
+        let line_starts = std::iter::once(0)
+            .chain(text.match_indices('\n').map(|(i, _)| i + 1))
+            .collect();
+        Source {
+            rel,
+            text,
+            line_starts,
+        }
+    }
+
+    /// The 1-based line of byte offset `at`: one plus the newlines before it.
+    fn line_of(&self, at: usize) -> u32 {
+        self.line_starts.partition_point(|&start| start <= at) as u32
+    }
+}
+
+fn check_span(span: Span, file: &Source, what: &str) {
+    let (rel, src) = (file.rel, file.text);
     let (lo, hi) = (span.lo as usize, span.hi as usize);
     assert!(
         lo <= hi && hi <= src.len(),
@@ -41,7 +69,7 @@ fn check_span(span: Span, src: &str, what: &str, rel: &str) {
         "{rel}: {what} span {lo}..{hi} splits a char"
     );
     if lo < hi {
-        let line = src[..lo].bytes().filter(|b| *b == b'\n').count() as u32 + 1;
+        let line = file.line_of(lo);
         assert_eq!(
             span.line, line,
             "{rel}: {what} span {lo}..{hi} claims line {} but starts on line {line}",
@@ -50,28 +78,29 @@ fn check_span(span: Span, src: &str, what: &str, rel: &str) {
     }
 }
 
-fn check_item_spans(item: &Item, src: &str, rel: &str) {
-    check_span(item.span, src, "item", rel);
+fn check_item_spans(item: &Item, file: &Source) {
+    let (rel, src) = (file.rel, file.text);
+    check_span(item.span, file, "item");
     match &item.kind {
         ItemKind::Impl(imp) => {
             for it in &imp.items {
-                check_item_spans(it, src, rel);
+                check_item_spans(it, file);
             }
         }
         ItemKind::Trait(tr) => {
             for it in &tr.items {
-                check_item_spans(it, src, rel);
+                check_item_spans(it, file);
             }
         }
         ItemKind::Mod(m) => {
             if let Some(items) = &m.items {
                 for it in items {
-                    check_item_spans(it, src, rel);
+                    check_item_spans(it, file);
                 }
             }
         }
         ItemKind::Fn(func) => {
-            check_span(func.name_span, src, "fn name", rel);
+            check_span(func.name_span, file, "fn name");
             if !func.name.is_empty() {
                 let (lo, hi) = (func.name_span.lo as usize, func.name_span.hi as usize);
                 assert_eq!(
@@ -84,7 +113,7 @@ fn check_item_spans(item: &Item, src: &str, rel: &str) {
         _ => {}
     }
     walk_item_exprs(item, &mut |e: &Expr| {
-        check_span(e.span, src, "expr", rel);
+        check_span(e.span, file, "expr");
         // Leaf spans reproduce their exact source text.
         match &e.kind {
             ExprKind::Lit(text) => {
@@ -118,8 +147,9 @@ fn check_item_spans(item: &Item, src: &str, rel: &str) {
 
 fn parse_and_check(rel: &str, src: &str) -> SourceFile {
     let file = parse_file(src);
+    let source = Source::new(rel, src);
     for item in &file.items {
-        check_item_spans(item, src, rel);
+        check_item_spans(item, &source);
     }
     file
 }

@@ -147,6 +147,12 @@ impl Trace {
         self.events.is_empty()
     }
 
+    /// Drops spare capacity, so a trace kept for long holds only its
+    /// events.
+    pub fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+    }
+
     /// Immutable view of the underlying events.
     pub fn events(&self) -> &[MemEvent] {
         &self.events
@@ -276,6 +282,14 @@ mod tests {
     fn span_covers_min_and_max() {
         assert_eq!(sample().span(), Some((0x100, 0x2008)));
         assert_eq!(Trace::new().span(), None);
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_the_events() {
+        let mut t = Trace::with_capacity(1 << 10);
+        t.extend_from_slice(sample().events());
+        t.shrink_to_fit();
+        assert_eq!(t, sample());
     }
 
     #[test]
