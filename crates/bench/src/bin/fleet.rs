@@ -50,15 +50,11 @@ fn write_bench_json(path: &str, report: &FleetReport) -> Result<(), String> {
         .str("mix", spec.mix.name())
         .u64("seed", spec.base_seed);
     if spec.fault.enabled() {
-        let rel = report.total_reliability();
-        counters = counters
-            .str("faults", &spec.fault.label())
-            .str("tech", spec.tech.name())
-            .u64("injected", rel.injected)
-            .u64("masked", rel.masked)
-            .u64("detected", rel.detected)
-            .u64("corrected", rel.corrected)
-            .u64("silent", rel.silent);
+        counters = report.total_reliability().json_fields(
+            counters
+                .str("faults", &spec.fault.label())
+                .str("tech", spec.tech.name()),
+        );
     }
     let top = BenchRecord {
         counters: counters.finish(),

@@ -22,12 +22,10 @@
 use std::process::ExitCode;
 
 use lpmem_bench::cli::{self, Args, BenchRecord};
+use lpmem_isa::kernels::MAX_STEPS;
 use lpmem_isa::{Backend, Kernel, Machine, Reg};
 use lpmem_util::bench::{benchmark_paired, format_ns, Measurement, Options, PairedMeasurement};
 use lpmem_util::json::JsonObject;
-
-/// The kernel library's step budget (`lpmem_isa::kernels::MAX_STEPS`).
-const MAX_STEPS: u64 = 50_000_000;
 
 /// One kernel's smoke + timing result.
 struct KernelReport {

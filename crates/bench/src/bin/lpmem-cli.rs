@@ -9,7 +9,7 @@
 //! lpmem-cli partition <trace.txt> [opts]     the 1B.1 flow on a trace file
 //!     --banks K --block BYTES
 //! lpmem-cli compress <kernel> [opts]         the 1B.2 flow on a kernel
-//!     --scale N --platform vliw|risc --codec diff|zero|fpc
+//!     --scale N --platform vliw|risc --codec diff|zrun|fpc
 //! lpmem-cli buscode <kernel> [--regions R]   the 1B.3 flow on a kernel
 //! ```
 //!
@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 
 use lpmem_bench::cli::{self, Args};
-use lpmem_compress::{DiffCodec, FpcCodec, LineCodec, ZeroRunCodec};
+use lpmem_compress::CodecKind;
 use lpmem_core::flows::buscoding::run_buscoding;
 use lpmem_core::flows::compression::{run_compression_kernel, PlatformKind};
 use lpmem_core::flows::partitioning::{run_partitioning, PartitioningConfig};
@@ -64,7 +64,7 @@ fn print_usage() {
          disasm <kernel> [--scale N]\n  \
          stats <trace.txt>\n  \
          partition <trace.txt> [--banks K] [--block BYTES]\n  \
-         compress <kernel> [--scale N] [--platform vliw|risc] [--codec diff|zero|fpc]\n  \
+         compress <kernel> [--scale N] [--platform vliw|risc] [--codec diff|zrun|fpc]\n  \
          buscode <kernel> [--regions R]"
     );
 }
@@ -237,12 +237,10 @@ fn cmd_compress(opts: Opts) -> Result<(), String> {
         Some("risc") => PlatformKind::RiscLike,
         Some(other) => return Err(format!("unknown platform `{other}`")),
     };
-    let codec: Box<dyn LineCodec> = match opts.codec.as_deref() {
-        None | Some("diff") => Box::new(DiffCodec::new()),
-        Some("zero") => Box::new(ZeroRunCodec::new()),
-        Some("fpc") => Box::new(FpcCodec::new()),
-        Some(other) => return Err(format!("unknown codec `{other}`")),
-    };
+    let name = opts.codec.as_deref().unwrap_or("diff");
+    let codec = CodecKind::parse(name)
+        .and_then(CodecKind::codec)
+        .ok_or_else(|| format!("unknown codec `{name}` (diff, zrun or fpc)"))?;
     let out = run_compression_kernel(kernel, scale, 1, platform, codec.as_ref())
         .map_err(|e| e.to_string())?;
     println!(

@@ -13,7 +13,7 @@ use lpmem_core::flows::compression::{
 use lpmem_core::flows::partitioning::{
     run_partitioning, run_partitioning_sleep, PartitioningConfig,
 };
-use lpmem_core::flows::scheduling::{default_platform, dsp_pipeline_app, run_scheduling};
+use lpmem_core::flows::scheduling::{self, default_platform, dsp_pipeline_app, run_scheduling};
 use lpmem_core::flows::system::run_system;
 use lpmem_core::workloads::{composite_suite, kernel_trace_and_image, scattered_suite};
 use lpmem_energy::Technology;
@@ -498,7 +498,7 @@ pub fn f4a() -> Table {
     let app = dsp_pipeline_app(4, 32, 1).expect("builder");
     let mut greedy = Vec::new();
     for l0 in [256u64, 512, 1024, 2048, 4096] {
-        let platform = SchedPlatform::new(&tech, l0, 16 << 10);
+        let platform = SchedPlatform::new(&tech, l0, scheduling::L1_BYTES);
         let out = run_scheduling("dsp-1", &app, &platform).expect("flow");
         greedy.push(out.greedy);
         table.push_row(vec![
@@ -547,13 +547,15 @@ energy (it buys sleep instead, see A4); the T1 flow keeps the cheaper of the two
 /// stored-size histogram `h`: write-back beats only, without the refill
 /// credit T2 also counts.
 pub fn a2() -> Table {
+    let codecs: [&dyn LineCodec; 3] = [&DiffCodec::new(), &ZeroRunCodec::new(), &FpcCodec::new()];
+    let mut header = vec!["workload"];
+    header.extend(codecs.map(|c| c.name()));
     let mut table = Table::new(
         "A2",
         "codec ablation: fraction of write-back beats eliminated (vliw platform)",
         "the differential codec should dominate zero-elimination and FPC on signal data",
-        vec!["workload", "diff", "zero", "fpc"],
+        header,
     );
-    let codecs: [&dyn LineCodec; 3] = [&DiffCodec::new(), &ZeroRunCodec::new(), &FpcCodec::new()];
     let cfg = CompressionConfig::for_platform(PlatformKind::VliwLike);
     let line_beats = cfg.cache.line_bytes() as u64 / 4;
     let mut zero_trails = true;

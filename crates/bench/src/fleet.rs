@@ -557,12 +557,7 @@ impl FleetReport {
                     agg.ws_distinct_sum as f64 / agg.ws_windows as f64,
                 );
             if faults {
-                row = row
-                    .u64("injected", agg.reliability.injected)
-                    .u64("masked", agg.reliability.masked)
-                    .u64("detected", agg.reliability.detected)
-                    .u64("corrected", agg.reliability.corrected)
-                    .u64("silent", agg.reliability.silent);
+                row = agg.reliability.json_fields(row);
             }
             out.push_str(&row.str("dist_hist", &hist).finish());
             out.push('\n');

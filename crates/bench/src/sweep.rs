@@ -224,24 +224,13 @@ impl TaskResult {
                     .f64("optimized_pj", s.optimized.as_pj())
                     .f64("saving", s.saving());
                 if let Some(r) = &s.reliability {
-                    obj = obj
-                        .u64("injected", r.injected)
-                        .u64("masked", r.masked)
-                        .u64("detected", r.detected)
-                        .u64("corrected", r.corrected)
-                        .u64("silent", r.silent);
+                    obj = r.json_fields(obj);
                 }
                 if let Some(c) = &s.cmp {
-                    obj = obj
-                        .u64("cores", u64::from(c.cores))
-                        .u64("llc_banks", u64::from(c.llc_banks))
-                        .u64("dark_banks", u64::from(c.dark_banks))
-                        .u64("llc_lookups", c.llc_lookups)
-                        .u64("llc_hits", c.llc_hits)
-                        .u64("llc_lines", c.llc_lines)
-                        .u64("llc_compressed", c.llc_compressed_lines)
-                        .u64("offchip_beats", c.offchip_beats)
-                        .u64("cmp_cycles", c.cycles);
+                    obj = c
+                        .json_fields()
+                        .into_iter()
+                        .fold(obj, |o, (k, v)| o.u64(k, v));
                 }
                 obj.finish()
             }

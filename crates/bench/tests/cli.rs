@@ -178,6 +178,22 @@ fn bus_encoder_region_counts_are_checked() {
 }
 
 #[test]
+fn compress_codecs_go_by_their_report_names() {
+    // One name per codec on every surface: `zrun`, never `zero`; `off`
+    // names no codec to run.
+    for codec in ["zero", "off", "bogus"] {
+        assert_usage_error(CLI, &["compress", "fir", "--scale", "8", "--codec", codec]);
+    }
+    let out = run(CLI, &["compress", "fir", "--scale", "8", "--codec", "zrun"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout(&out).contains("codec     : zrun\n"));
+}
+
+#[test]
 fn a_sparse_trace_file_is_an_error_not_an_abort() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sparse.trace");
     std::fs::write(&path, "R 0 4 0\nR 100000000000 4 0\n").expect("write the trace");

@@ -11,8 +11,6 @@
 //! budget, and replacement is LRU by a global monotonic stamp — the
 //! deterministic logical clock of the interleaved simulation.
 
-use lpmem_compress::CodecKind;
-
 /// Segments per uncompressed line (quarter-line granularity).
 pub const SEGMENTS_PER_LINE: u32 = 4;
 
@@ -64,9 +62,9 @@ impl LlcConfig {
     }
 
     /// Number of segments a compressed encoding of `encoded_len` bytes
-    /// occupies (always the full line when `codec` is off).
-    pub fn segments_for(&self, codec: CodecKind, encoded_len: usize) -> u32 {
-        if codec == CodecKind::Off {
+    /// occupies (always the full line when placement is uncompressed).
+    pub fn segments_for(&self, encoded_len: usize) -> u32 {
+        if !self.compressed {
             return SEGMENTS_PER_LINE;
         }
         let segs = encoded_len.div_ceil(self.seg_bytes() as usize);
@@ -293,12 +291,12 @@ mod tests {
 
     #[test]
     fn segments_for_clamps_and_respects_off() {
+        assert_eq!(small_cfg(false).segments_for(1), SEGMENTS_PER_LINE);
         let cfg = small_cfg(true);
-        assert_eq!(cfg.segments_for(CodecKind::Off, 1), SEGMENTS_PER_LINE);
-        assert_eq!(cfg.segments_for(CodecKind::Zrun, 0), 1);
-        assert_eq!(cfg.segments_for(CodecKind::Zrun, 16), 1);
-        assert_eq!(cfg.segments_for(CodecKind::Zrun, 17), 2);
-        assert_eq!(cfg.segments_for(CodecKind::Zrun, 640), SEGMENTS_PER_LINE);
+        assert_eq!(cfg.segments_for(0), 1);
+        assert_eq!(cfg.segments_for(16), 1);
+        assert_eq!(cfg.segments_for(17), 2);
+        assert_eq!(cfg.segments_for(640), SEGMENTS_PER_LINE);
     }
 
     #[test]

@@ -77,6 +77,26 @@ pub struct CmpReport {
     pub cycles: u64,
 }
 
+impl CmpReport {
+    /// The nine outcome counters (`cores` … `cmp_cycles`, not the spec
+    /// label) as the sweep and explore reports write them: JSON key and
+    /// value, in field order. Pairs rather than a `JsonObject` writer
+    /// because this crate does not depend on `lpmem-util`.
+    pub fn json_fields(&self) -> [(&'static str, u64); 9] {
+        [
+            ("cores", u64::from(self.cores)),
+            ("llc_banks", u64::from(self.llc_banks)),
+            ("dark_banks", u64::from(self.dark_banks)),
+            ("llc_lookups", self.llc_lookups),
+            ("llc_hits", self.llc_hits),
+            ("llc_lines", self.llc_lines),
+            ("llc_compressed", self.llc_compressed_lines),
+            ("offchip_beats", self.offchip_beats),
+            ("cmp_cycles", self.cycles),
+        ]
+    }
+}
+
 /// Full outcome of an active CMP simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CmpOutcome {
@@ -135,10 +155,7 @@ impl TrafficRouter {
         let segs = match &self.codec {
             Some(codec) => {
                 self.codec_words += self.line_words;
-                let encoded = codec.compress(line).len();
-                let segs = encoded.div_ceil(cfg.seg_bytes() as usize);
-                u32::try_from(segs.clamp(1, SEGMENTS_PER_LINE as usize))
-                    .expect("segment count clamped to 4")
+                cfg.segments_for(codec.compressed_bits(line).div_ceil(8))
             }
             None => SEGMENTS_PER_LINE,
         };

@@ -44,16 +44,6 @@ impl BitWriter {
         }
     }
 
-    /// Total bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.bytes.len() * 8
-            - if self.used == 0 {
-                0
-            } else {
-                (8 - self.used) as usize
-            }
-    }
-
     /// Finishes, returning the zero-padded byte buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
@@ -92,11 +82,6 @@ impl<'a> BitReader<'a> {
         }
         Some(out)
     }
-
-    /// Bits consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +95,6 @@ mod tests {
         w.write(1, 1);
         w.write(0, 1);
         w.write(1, 1);
-        assert_eq!(w.bit_len(), 3);
         assert_eq!(w.into_bytes(), vec![0b1010_0000]);
     }
 
@@ -173,19 +157,6 @@ mod tests {
                 };
                 assert_eq!(r.read(width), Some(v & mask));
             }
-        });
-    }
-
-    #[test]
-    fn bit_len_matches_sum_of_widths() {
-        Props::new("bit length equals the sum of written widths").run(|rng| {
-            let len = rng.gen_range(0..64usize);
-            let widths: Vec<u32> = (0..len).map(|_| rng.gen_range(1..=32u32)).collect();
-            let mut w = BitWriter::new();
-            for &width in &widths {
-                w.write(0, width);
-            }
-            assert_eq!(w.bit_len() as u32, widths.iter().sum::<u32>());
         });
     }
 }

@@ -162,7 +162,7 @@ impl ZeroRunCodec {
 
 impl LineCodec for ZeroRunCodec {
     fn name(&self) -> &'static str {
-        "zero"
+        "zrun"
     }
 
     fn compress(&self, line: &[u8]) -> Vec<u8> {

@@ -31,7 +31,6 @@ use crate::flows::spec::{
     data_memory_exposure, fault_campaign, FlowSpec, FlowSummary, TechNode, VariantSpec,
 };
 use crate::flows::system::run_system_trace;
-use crate::workloads::kernel_trace_and_image;
 use crate::FlowError;
 
 /// The kernel core `i` runs: rotate through [`Kernel::ALL`] starting
@@ -72,9 +71,11 @@ pub fn cmp_core_run(
     seed: u64,
     core: u32,
 ) -> Result<CoreRun, FlowError> {
-    let (trace, image) =
-        kernel_trace_and_image(core_kernel(kernel, core), scale, core_seed(seed, core))?;
-    Ok(CoreRun { trace, image })
+    let run = core_kernel(kernel, core).run(scale, core_seed(seed, core))?;
+    Ok(CoreRun {
+        trace: run.trace,
+        image: run.image,
+    })
 }
 
 /// Builds the per-core workloads of a CMP run: [`cmp_core_run`] of each
@@ -134,11 +135,9 @@ pub fn run_cmp(
         let mut fetches = 0u64;
         let mut reliability: Option<ReliabilityReport> = None;
         for c in 0..cmp.cores {
-            let k = core_kernel(kernel, c);
-            let s = core_seed(seed, c);
-            let (trace, image) = kernel_trace_and_image(k, scale, s)?;
+            let CoreRun { trace, image } = cmp_core_run(kernel, scale, seed, c)?;
             let out = run_system_trace(
-                k.name(),
+                core_kernel(kernel, c).name(),
                 &trace,
                 image,
                 variant.platform,
@@ -152,6 +151,7 @@ pub fn run_cmp(
             if fault.enabled() {
                 let mut exposure = data_memory_exposure(&trace, variant, &technology)?;
                 exposure.domain = u64::from(c);
+                let s = core_seed(seed, c);
                 let report = fault_campaign(fault, &technology, &exposure, s, &mut optimized);
                 reliability
                     .get_or_insert_with(ReliabilityReport::default)

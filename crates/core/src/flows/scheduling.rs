@@ -130,9 +130,13 @@ pub fn run_scheduling(
     })
 }
 
-/// The default fabric of the T4 experiment: 1 KiB L0, 16 KiB L1.
+/// The L1 capacity of every scheduling platform the flows, the explorer
+/// and the experiments build: 16 KiB.
+pub const L1_BYTES: u64 = 16 << 10;
+
+/// The default fabric of the T4 experiment: 1 KiB L0, [`L1_BYTES`] L1.
 pub fn default_platform(tech: &Technology) -> SchedPlatform {
-    SchedPlatform::new(tech, 1 << 10, 16 << 10)
+    SchedPlatform::new(tech, 1 << 10, L1_BYTES)
 }
 
 #[cfg(test)]

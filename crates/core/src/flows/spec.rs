@@ -26,7 +26,7 @@ use crate::flows::buscoding::run_buscoding;
 use crate::flows::cmp::run_cmp;
 use crate::flows::compression::{run_compression_trace, CompressionConfig, PlatformKind};
 use crate::flows::partitioning::{run_partitioning, PartitioningConfig};
-use crate::flows::scheduling::{dsp_pipeline_app, run_scheduling};
+use crate::flows::scheduling::{self, dsp_pipeline_app, run_scheduling};
 use crate::flows::system::run_system_trace;
 use crate::workloads::kernel_trace_and_image;
 use crate::FlowError;
@@ -202,7 +202,7 @@ impl FlowSpec {
             }
             FlowSpec::Scheduling => {
                 let app = dsp_pipeline_app(v.stages, v.iterations, sc.seed)?;
-                let platform = SchedPlatform::new(&tech, v.l0_bytes, 16 << 10);
+                let platform = SchedPlatform::new(&tech, v.l0_bytes, scheduling::L1_BYTES);
                 let name = format!("dsp-{}x{}", v.stages, v.iterations);
                 let out = run_scheduling(&name, &app, &platform)?;
                 let events = out.contexts as u64 * out.iterations;

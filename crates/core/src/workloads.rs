@@ -2,7 +2,7 @@
 //! the per-device workload archetypes and mixes the fleet simulator draws
 //! from (DESIGN.md §11).
 
-use lpmem_isa::{Backend, Kernel, Machine};
+use lpmem_isa::Kernel;
 use lpmem_mem::FlatMemory;
 use lpmem_trace::gen::{HotColdGen, MarkovGen, PhaseScatterGen, PointerChaseGen, StridedGen};
 use lpmem_trace::{MemEvent, Trace};
@@ -10,9 +10,8 @@ use lpmem_util::Rng;
 
 use crate::FlowError;
 
-/// Runs and verifies a kernel once, returning its trace together with the
-/// program's initial memory image (the state a replay cache must start
-/// from).
+/// [`Kernel::run`]'s trace together with the program's initial memory
+/// image (the state a replay cache must start from).
 ///
 /// # Errors
 ///
@@ -22,11 +21,8 @@ pub fn kernel_trace_and_image(
     scale: u32,
     seed: u64,
 ) -> Result<(Trace, FlatMemory), FlowError> {
-    let mut machine = Machine::new(&kernel.program(scale, seed));
-    let image = machine.mem().clone();
-    let result = machine.run_with(Backend::Compiled, 200_000_000)?;
-    kernel.verify(scale, seed, &machine);
-    Ok((result.trace, image))
+    let run = kernel.run(scale, seed)?;
+    Ok((run.trace, run.image))
 }
 
 /// Synthetic profiles with scattered hot sets — the workload family where
@@ -348,6 +344,34 @@ impl WorkloadMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lpmem_isa::{Backend, Machine};
+
+    #[test]
+    fn kernel_runs_carry_their_trace_and_initial_image_on_both_backends() {
+        let (scale, seed) = (4, 11);
+        for kernel in Kernel::ALL {
+            let program = kernel.program(scale, seed);
+            let fresh = Machine::new(&program);
+            let (trace, image) = kernel_trace_and_image(kernel, scale, seed).unwrap();
+            // Every loaded byte, and every address the run touched (the
+            // outputs differ between the images before and after a run).
+            let addrs: Vec<u64> = program
+                .segments()
+                .iter()
+                .flat_map(|(base, bytes)| (u64::from(*base)..).take(bytes.len()))
+                .chain(trace.iter().map(|ev| ev.addr))
+                .collect();
+            for backend in [Backend::Interpret, Backend::Compiled] {
+                let run = kernel.run_with(backend, scale, seed).unwrap();
+                assert_eq!(run.trace, trace, "{kernel} on {}", backend.name());
+                for &addr in &addrs {
+                    let want = fresh.mem().read_u8(addr);
+                    assert_eq!(run.image.read_u8(addr), want, "{kernel} {addr:#x}");
+                    assert_eq!(image.read_u8(addr), want, "{kernel} {addr:#x}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn composite_apps_have_scattered_heat() {

@@ -63,18 +63,6 @@ impl EnergyReport {
         }
     }
 
-    /// Returns this report with every component scaled by `factor`
-    /// (useful for per-iteration normalization).
-    pub fn scaled(&self, factor: f64) -> EnergyReport {
-        EnergyReport {
-            components: self
-                .components
-                .iter()
-                .map(|(k, &v)| (k.clone(), v * factor))
-                .collect(),
-        }
-    }
-
     /// `true` when the report has no components.
     pub fn is_empty(&self) -> bool {
         self.components.is_empty()
@@ -133,15 +121,6 @@ mod tests {
         r.merge(&s);
         assert_eq!(r.component("a"), Energy::from_pj(3.0));
         assert_eq!(r.component("b"), Energy::from_pj(5.0));
-    }
-
-    #[test]
-    fn scaled_multiplies_everything() {
-        let mut r = EnergyReport::new();
-        r.add("a", Energy::from_pj(2.0));
-        r.add("b", Energy::from_pj(4.0));
-        let half = r.scaled(0.5);
-        assert_eq!(half.total(), Energy::from_pj(3.0));
     }
 
     #[test]

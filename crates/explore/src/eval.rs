@@ -40,7 +40,7 @@ use lpmem_core::flows::buscoding::{BusCounts, BusPrice};
 use lpmem_core::flows::cmp::cmp_core_run;
 use lpmem_core::flows::compression::{run_compression_trace, CompressionConfig};
 use lpmem_core::flows::partitioning::{run_partitioning, PartitioningConfig};
-use lpmem_core::flows::scheduling::{dsp_pipeline_app, run_scheduling};
+use lpmem_core::flows::scheduling::{self, dsp_pipeline_app, run_scheduling};
 use lpmem_core::flows::spec::{data_memory_exposure, TechNode, VariantSpec};
 use lpmem_core::flows::{run_campaign, FaultSpec, ReliabilityReport};
 use lpmem_core::workloads::kernel_trace_and_image;
@@ -276,7 +276,7 @@ impl Evaluator {
         let mut energy_pj;
         let mut area = part.area.clone();
         area.add("sched.l0", sram.area_mm2(point.l0));
-        area.add("sched.l1", sram.area_mm2(16 << 10));
+        area.add("sched.l1", sram.area_mm2(scheduling::L1_BYTES));
 
         let mut cycles;
         let mut reliability = None;
@@ -462,7 +462,7 @@ impl Evaluator {
             |m| &mut m.sched,
             l0,
             || {
-                let platform = SchedPlatform::new(&self.tech, l0, 16 << 10);
+                let platform = SchedPlatform::new(&self.tech, l0, scheduling::L1_BYTES);
                 Ok(run_scheduling("dse", &self.app, &platform)?.greedy.as_pj())
             },
         )

@@ -100,27 +100,15 @@ impl Frontier {
             // Reliability fields appear only for fault-scored evaluations,
             // so fault-free dumps keep their historical bytes.
             if let Some(r) = &p.reliability {
-                row = row
-                    .u64("injected", r.injected)
-                    .u64("masked", r.masked)
-                    .u64("detected", r.detected)
-                    .u64("corrected", r.corrected)
-                    .u64("silent", r.silent);
+                row = r.json_fields(row);
             }
             // CMP fields likewise appear only on scenario points, so
             // single-core dumps keep their historical bytes.
             if let (Some(spec), Some(c)) = (&p.point.cmp, &p.cmp) {
-                row = row
-                    .str("cmp", &spec.label())
-                    .u64("cores", u64::from(c.cores))
-                    .u64("llc_banks", u64::from(c.llc_banks))
-                    .u64("dark_banks", u64::from(c.dark_banks))
-                    .u64("llc_lookups", c.llc_lookups)
-                    .u64("llc_hits", c.llc_hits)
-                    .u64("llc_lines", c.llc_lines)
-                    .u64("llc_compressed", c.llc_compressed_lines)
-                    .u64("offchip_beats", c.offchip_beats)
-                    .u64("cmp_cycles", c.cycles);
+                row = c
+                    .json_fields()
+                    .into_iter()
+                    .fold(row.str("cmp", &spec.label()), |o, (k, v)| o.u64(k, v));
             }
             out.push_str(&row.finish());
             out.push('\n');

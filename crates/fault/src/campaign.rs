@@ -24,6 +24,7 @@
 //! testing of physical parts.
 
 use lpmem_energy::Technology;
+use lpmem_util::json::JsonObject;
 use lpmem_util::{Rng, SplitMix64};
 
 use crate::codec::{parity_decode, parity_encode, secded_decode, secded_encode, DecodeOutcome};
@@ -199,6 +200,16 @@ impl ReliabilityReport {
         self.detected += other.detected;
         self.corrected += other.corrected;
         self.silent += other.silent;
+    }
+
+    /// Appends the five outcome counts to a report record, in the order
+    /// every JSON report writes them (`injected` … `silent`).
+    pub fn json_fields(&self, obj: JsonObject) -> JsonObject {
+        obj.u64("injected", self.injected)
+            .u64("masked", self.masked)
+            .u64("detected", self.detected)
+            .u64("corrected", self.corrected)
+            .u64("silent", self.silent)
     }
 }
 

@@ -19,6 +19,7 @@
 
 use lpmem_util::Rng;
 
+use lpmem_mem::FlatMemory;
 use lpmem_trace::Trace;
 
 use crate::asm::{assemble, Program};
@@ -31,8 +32,9 @@ const IN_BASE: u32 = 0x1_0000;
 const OUT_BASE: u32 = 0x2_0000;
 /// Base address of lookup tables.
 const TBL_BASE: u32 = 0x3_0000;
-/// Generous step budget for every kernel.
-const MAX_STEPS: u64 = 50_000_000;
+/// The step budget of every kernel run: generous enough for any kernel at
+/// any scale the harnesses use.
+pub const MAX_STEPS: u64 = 200_000_000;
 
 /// The kernel suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,7 +122,8 @@ impl Kernel {
         assemble(&src).unwrap_or_else(|e| panic!("kernel {} failed to assemble: {e}", self.name()))
     }
 
-    /// Assembles, runs, and verifies the kernel, returning its trace.
+    /// Assembles, runs (within [`MAX_STEPS`]), and verifies the kernel,
+    /// returning its trace and initial data image.
     ///
     /// # Errors
     ///
@@ -146,14 +149,15 @@ impl Kernel {
     ///
     /// As for [`Kernel::run`].
     pub fn run_with(self, backend: Backend, scale: u32, seed: u64) -> Result<KernelRun, IsaError> {
-        let program = self.program(scale, seed);
-        let mut machine = Machine::new(&program);
+        let mut machine = Machine::new(&self.program(scale, seed));
+        let image = machine.mem().clone();
         let result = machine.run_with(backend, MAX_STEPS)?;
         self.verify(scale, seed, &machine);
         Ok(KernelRun {
             kernel: self,
             scale,
             trace: result.trace,
+            image,
             steps: result.steps,
         })
     }
@@ -180,7 +184,7 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if the machine's output disagrees with the reference.
-    pub fn verify(self, scale: u32, seed: u64, machine: &Machine) {
+    fn verify(self, scale: u32, seed: u64, machine: &Machine) {
         let mut rng = Rng::seed_from_u64(seed ^ (self as u64) << 32);
         let mem = machine.mem();
         match self {
@@ -305,6 +309,9 @@ pub struct KernelRun {
     pub scale: u32,
     /// The complete access trace.
     pub trace: Trace,
+    /// The program's data memory before the run: the state a cache
+    /// replaying [`KernelRun::trace`] must start from.
+    pub image: FlatMemory,
     /// Instructions executed.
     pub steps: u64,
 }

@@ -1,7 +1,5 @@
 //! Trace events and the [`Trace`] container.
 
-use crate::TraceError;
-
 /// The kind of memory access an event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AccessKind {
@@ -207,17 +205,6 @@ impl Trace {
         }
         counts
     }
-
-    /// Iterates over block indices for the given block size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidBlockSize`] when `block_size` is zero or
-    /// not a power of two.
-    pub fn block_ids(&self, block_size: u64) -> Result<impl Iterator<Item = u64> + '_, TraceError> {
-        let shift = crate::checked_log2(block_size)?;
-        Ok(self.events.iter().map(move |e| e.block(shift)))
-    }
 }
 
 impl FromIterator<MemEvent> for Trace {
@@ -304,18 +291,6 @@ mod tests {
         let f = sample().fetches_only();
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|e| e.kind == AccessKind::InstrFetch));
-    }
-
-    #[test]
-    fn block_ids_uses_block_size() {
-        let t = sample();
-        let ids: Vec<u64> = t.block_ids(0x1000).unwrap().collect();
-        assert_eq!(ids, vec![0, 2, 2, 0, 2]);
-    }
-
-    #[test]
-    fn block_ids_rejects_bad_size() {
-        assert!(sample().block_ids(12).is_err());
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! # Ok::<(), lpmem_trace::TraceError>(())
 //! ```
 
-use std::io::BufRead;
-
 use crate::{AccessKind, MemEvent, Trace, TraceError};
 
 fn kind_char(kind: AccessKind) -> char {
@@ -56,20 +54,6 @@ pub fn from_text(text: &str) -> Result<Trace, TraceError> {
         trace.push(parse_line(line)?);
     }
     Ok(trace)
-}
-
-/// Reads a trace from any [`BufRead`] source.
-///
-/// # Errors
-///
-/// Returns [`TraceError::InvalidParameter`] on malformed lines or I/O
-/// failure.
-pub fn read_text<R: BufRead>(mut source: R) -> Result<Trace, TraceError> {
-    let mut text = String::new();
-    source
-        .read_to_string(&mut text)
-        .map_err(|_| TraceError::InvalidParameter("trace input is not readable text"))?;
-    from_text(&text)
 }
 
 fn parse_line(line: &str) -> Result<MemEvent, TraceError> {
@@ -138,13 +122,6 @@ mod tests {
         ] {
             assert!(from_text(bad).is_err(), "{bad} should fail");
         }
-    }
-
-    #[test]
-    fn io_adapters_work() {
-        let t = sample();
-        let back = read_text(std::io::Cursor::new(to_text(&t))).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]
