@@ -44,7 +44,6 @@ fn spec_at(cores: u32, banks: u32) -> CmpSpec {
         codec: CodecKind::Zrun,
         techs: vec![TechNode::T180, TechNode::T90],
         budget_uw: 600,
-        ..CmpSpec::off()
     }
 }
 

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 use lpmem_bench::cli::{self, Args, BenchRecord};
 use lpmem_isa::kernels::MAX_STEPS;
-use lpmem_isa::{Backend, Kernel, Machine, Reg};
+use lpmem_isa::{Backend, Kernel, Machine, Program, Reg};
 use lpmem_util::bench::{benchmark_paired, format_ns, Measurement, Options, PairedMeasurement};
 use lpmem_util::json::JsonObject;
 
@@ -62,16 +62,20 @@ impl KernelReport {
     }
 }
 
-/// Runs the kernel on both backends, checks byte-identical behaviour,
-/// and returns the instruction count.
-fn differential_smoke(kernel: Kernel, scale: u32, seed: u64) -> Result<u64, String> {
+/// Runs the kernel's `program` on both backends, checks byte-identical
+/// behaviour, and returns the instruction count.
+fn differential_smoke(
+    kernel: Kernel,
+    program: &Program,
+    scale: u32,
+    seed: u64,
+) -> Result<u64, String> {
     let name = kernel.name();
-    let program = kernel.program(scale, seed);
-    let mut interp = Machine::new(&program);
+    let mut interp = Machine::new(program);
     let interp_run = interp
         .run(MAX_STEPS)
         .map_err(|e| format!("{name}: interpreter failed: {e}"))?;
-    let mut compiled = Machine::new(&program);
+    let mut compiled = Machine::new(program);
     let compiled_run = compiled
         .run_with(Backend::Compiled, MAX_STEPS)
         .map_err(|e| format!("{name}: compiled backend failed: {e}"))?;
@@ -100,10 +104,9 @@ fn differential_smoke(kernel: Kernel, scale: u32, seed: u64) -> Result<u64, Stri
     Ok(interp_run.steps)
 }
 
-/// Times both backends with paired samples so machine-load drift cancels
-/// out of the speedup ratio.
-fn time_backends(kernel: Kernel, scale: u32, seed: u64, opts: &Options) -> PairedMeasurement {
-    let program = kernel.program(scale, seed);
+/// Times both backends on `program` with paired samples so machine-load
+/// drift cancels out of the speedup ratio.
+fn time_backends(kernel: Kernel, program: &Program, opts: &Options) -> PairedMeasurement {
     let run = |backend: Backend| {
         let program = program.clone();
         move || {
@@ -163,14 +166,15 @@ fn run(mut args: Args) -> Result<(), String> {
     let mut reports: Vec<KernelReport> = Vec::new();
     for &kernel in &kernels {
         let scale = kernel.default_scale();
-        let instret = differential_smoke(kernel, scale, seed)?;
+        let program = kernel.program(scale, seed).map_err(|e| e.to_string())?;
+        let instret = differential_smoke(kernel, &program, scale, seed)?;
         println!(
             "  {:<10} scale {:<4} instret {:>9}  traces byte-identical",
             kernel.name(),
             scale,
             instret
         );
-        let paired = time_backends(kernel, scale, seed, &opts);
+        let paired = time_backends(kernel, &program, &opts);
         reports.push(KernelReport {
             kernel,
             scale,

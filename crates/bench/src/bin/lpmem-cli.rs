@@ -168,7 +168,7 @@ fn cmd_run(opts: Opts) -> Result<(), String> {
 fn cmd_disasm(opts: Opts) -> Result<(), String> {
     let kernel = opts.kernel()?;
     let scale = opts.scale.unwrap_or(kernel.default_scale());
-    let program = kernel.program(scale, 1);
+    let program = kernel.program(scale, 1).map_err(|e| e.to_string())?;
     for (i, line) in disassemble(program.entry(), &program.text_words())
         .iter()
         .enumerate()

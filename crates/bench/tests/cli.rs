@@ -178,6 +178,23 @@ fn bus_encoder_region_counts_are_checked() {
 }
 
 #[test]
+fn kernel_scales_outside_the_data_layout_are_usage_errors() {
+    // Too few elements for the kernel's loops, or arrays that overrun the
+    // next data region: each is refused before the kernel runs.
+    for args in [
+        &["run", "matmul", "--scale", "0"][..],
+        &["disasm", "matmul", "--scale", "0"],
+        &["run", "conv2d", "--scale", "2"],
+        &["run", "matmul", "--scale", "91"],
+        &["compress", "matmul", "--scale", "128"],
+    ] {
+        assert_usage_error(CLI, args);
+        let stderr = String::from_utf8_lossy(&run(CLI, args).stderr).into_owned();
+        assert!(stderr.contains("cannot run at scale"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn compress_codecs_go_by_their_report_names() {
     // One name per codec on every surface: `zrun`, never `zero`; `off`
     // names no codec to run.

@@ -40,4 +40,4 @@ pub mod spec;
 
 pub use llc::{LlcAccess, LlcBankStats, LlcConfig, NucaLlc, SEGMENTS_PER_LINE};
 pub use sim::{simulate_cmp, CmpOutcome, CmpReport, CoreRun};
-pub use spec::{CmpSpec, DEFAULT_QUANTUM, TAG_CMP};
+pub use spec::{CmpSpec, TAG_CMP};

@@ -34,6 +34,10 @@ const OFFCHIP_BEAT_CYCLES: u64 = 10;
 /// flit toggling).
 const HOP_TRANSITIONS_PER_BEAT: u64 = 16;
 
+/// Round-robin interleave quantum: data events one core retires before
+/// the arbiter hands the memory system to the next core.
+const QUANTUM: usize = 32;
+
 /// Sleep-policy timeout (in ticks) used when pricing dark banks — the
 /// same convention the fault-exposure derivation uses for gated banks.
 const DARK_SLEEP_TIMEOUT: u64 = 32;
@@ -57,8 +61,7 @@ pub struct CmpReport {
     pub spec: String,
     /// Simulated cores.
     pub cores: u32,
-    /// LLC banks actually modeled (0 on the passthrough path, where the
-    /// LLC degenerates to the flat next level).
+    /// LLC banks modeled.
     pub llc_banks: u32,
     /// Banks dark-silicon-gated by the power budget.
     pub dark_banks: u32,
@@ -194,8 +197,8 @@ impl TrafficRouter {
 ///
 /// # Panics
 ///
-/// Panics when `spec` is disabled or a passthrough (callers route those
-/// through the single-core flow), when the run count does not match
+/// Panics when `spec` is disabled (callers route those through the
+/// single-core flow), when the run count does not match
 /// `spec.cores`, or when the LLC geometry is invalid for the L1 line
 /// size (see [`CmpSpec::validate`]).
 pub fn simulate_cmp(
@@ -206,10 +209,7 @@ pub fn simulate_cmp(
     fault: &FaultSpec,
     seed: u64,
 ) -> CmpOutcome {
-    assert!(
-        spec.enabled() && !spec.passthrough(),
-        "simulate_cmp models active scenarios only"
-    );
+    assert!(spec.enabled(), "simulate_cmp models active scenarios only");
     if let Err(why) = spec.validate(l1.line_bytes()) {
         panic!("invalid CMP spec {}: {why}", spec.label());
     }
@@ -293,11 +293,10 @@ pub fn simulate_cmp(
         .map(|r| RecordingBacking::new(r.borrow().image.clone()))
         .collect();
     let mut streams: Vec<_> = traces.iter().map(|t| data_events(t)).collect();
-    let quantum = spec.quantum as usize;
     let mut remaining = total_events;
     while remaining > 0 {
         for (core, stream) in streams.iter_mut().enumerate() {
-            for ev in stream.by_ref().take(quantum) {
+            for ev in stream.by_ref().take(QUANTUM) {
                 let n = (ev.size as usize).min(4);
                 match ev.kind {
                     AccessKind::Read => {

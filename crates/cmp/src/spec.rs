@@ -14,10 +14,6 @@ use lpmem_partition::Partition;
 /// seeds, LLC fault domains).
 pub const TAG_CMP: u64 = 0xC390;
 
-/// Default round-robin interleave quantum: data events one core retires
-/// before the arbiter hands the memory system to the next core.
-pub const DEFAULT_QUANTUM: u32 = 32;
-
 /// One chip-multiprocessor scenario: N cores behind private L1 D-caches
 /// sharing a NUCA LLC whose bank partitions may sit on different
 /// technology nodes under a chip power budget.
@@ -28,9 +24,8 @@ pub const DEFAULT_QUANTUM: u32 = 32;
 pub struct CmpSpec {
     /// Number of TinyRISC cores. `0` disables the CMP scenario entirely.
     pub cores: u32,
-    /// Number of NUCA LLC banks. `0` or `1` with everything else at its
-    /// default degenerates to the monolithic next level the single-core
-    /// system flow already prices (see [`CmpSpec::passthrough`]).
+    /// Number of NUCA LLC banks; an active scenario needs at least one
+    /// (a 1-bank LLC is a real, shared LLC).
     pub banks: u32,
     /// Capacity of one LLC bank in KiB.
     pub bank_kib: u32,
@@ -48,8 +43,6 @@ pub struct CmpSpec {
     /// the coldest banks are dark-silicon-gated (greedily, by heat then
     /// bank index) until the LLC's standby power fits the budget.
     pub budget_uw: u64,
-    /// Round-robin interleave quantum in data events per core turn.
-    pub quantum: u32,
 }
 
 impl CmpSpec {
@@ -64,7 +57,6 @@ impl CmpSpec {
             codec: CodecKind::Off,
             techs: Vec::new(),
             budget_uw: 0,
-            quantum: DEFAULT_QUANTUM,
         }
     }
 
@@ -80,7 +72,6 @@ impl CmpSpec {
             codec: CodecKind::Zrun,
             techs: vec![TechNode::T180, TechNode::T90],
             budget_uw: 600,
-            quantum: DEFAULT_QUANTUM,
         }
     }
 
@@ -90,28 +81,15 @@ impl CmpSpec {
         self.cores > 0
     }
 
-    /// Whether the scenario's LLC degenerates to the monolithic next
-    /// level the single-core system flow already prices: at most one
-    /// bank, no compression, no explicit technology split, no power
-    /// budget. Such runs take the per-core single-core code path, which
-    /// makes the 1-core differential guarantee exact by construction.
-    pub fn passthrough(&self) -> bool {
-        self.enabled()
-            && self.banks <= 1
-            && self.codec == CodecKind::Off
-            && self.techs.is_empty()
-            && self.budget_uw == 0
-    }
-
     /// Validates an active scenario against the L1 line size its LLC
-    /// inherits.
+    /// inherits; a disabled spec is always valid.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated
     /// constraint.
     pub fn validate(&self, line_bytes: u32) -> Result<(), String> {
-        if !self.enabled() || self.passthrough() {
+        if !self.enabled() {
             return Ok(());
         }
         if self.banks == 0 {
@@ -119,9 +97,6 @@ impl CmpSpec {
         }
         if self.ways == 0 {
             return Err("LLC banks need at least one way".to_owned());
-        }
-        if self.quantum == 0 {
-            return Err("the interleave quantum must be positive".to_owned());
         }
         let bank_bytes = u64::from(self.bank_kib) * 1024;
         let set_bytes = u64::from(line_bytes) * u64::from(self.ways);
@@ -172,7 +147,7 @@ impl CmpSpec {
     }
 
     /// Report/CLI label: `off`, or
-    /// `c<cores>b<banks>x<bank_kib>w<ways>[-codec][-t…+t…][-q<quantum>][-p<budget_uw>]`
+    /// `c<cores>b<banks>x<bank_kib>w<ways>[-codec][-t…+t…][-p<budget_uw>]`
     /// with defaulted suffixes omitted.
     pub fn label(&self) -> String {
         if !self.enabled() {
@@ -190,9 +165,6 @@ impl CmpSpec {
             let names: Vec<&str> = self.techs.iter().map(|t| t.name()).collect();
             label.push('-');
             label.push_str(&names.join("+"));
-        }
-        if self.quantum != DEFAULT_QUANTUM {
-            label.push_str(&format!("-q{}", self.quantum));
         }
         if self.budget_uw > 0 {
             label.push_str(&format!("-p{}", self.budget_uw));
@@ -228,9 +200,7 @@ impl CmpSpec {
             ..CmpSpec::off()
         };
         for token in tokens {
-            if let Some(quantum) = token.strip_prefix('q').and_then(|v| v.parse().ok()) {
-                spec.quantum = quantum;
-            } else if let Some(budget) = token.strip_prefix('p').and_then(|v| v.parse().ok()) {
+            if let Some(budget) = token.strip_prefix('p').and_then(|v| v.parse().ok()) {
                 spec.budget_uw = budget;
             } else if token.starts_with('t') {
                 spec.techs = token
@@ -272,7 +242,6 @@ mod tests {
     fn quad_is_the_headline_scenario() {
         let quad = CmpSpec::quad();
         assert!(quad.enabled());
-        assert!(!quad.passthrough());
         assert!(quad.cores >= 4);
         assert_ne!(quad.codec, CodecKind::Off);
         assert!(quad.techs.len() >= 2);
@@ -301,7 +270,6 @@ mod tests {
                 codec: CodecKind::Fpc,
                 techs: vec![TechNode::T180, TechNode::T130, TechNode::T90],
                 budget_uw: 12_000,
-                quantum: 8,
             },
         ];
         for spec in specs {
@@ -314,6 +282,7 @@ mod tests {
         assert_eq!(CmpSpec::parse("b8x32w4"), None);
         assert_eq!(CmpSpec::parse("c0b8x32w4"), None);
         assert_eq!(CmpSpec::parse("c4b8x32w4-xyz"), None);
+        assert_eq!(CmpSpec::parse("c4b8x32w4-q8"), None);
         lpmem_util::Props::new("cmp spec labels roundtrip").run(|rng| {
             let spec = CmpSpec {
                 cores: rng.gen_range(1..=64u32),
@@ -325,7 +294,6 @@ mod tests {
                     .map(|_| *rng.choose(&TechNode::ALL).expect("non-empty"))
                     .collect(),
                 budget_uw: if rng.gen_bool(0.5) { 0 } else { rng.next_u64() },
-                quantum: rng.next_u32(),
             };
             assert_eq!(CmpSpec::parse(&spec.label()), Some(spec.clone()));
             assert_eq!(
@@ -333,39 +301,6 @@ mod tests {
                 Some(spec)
             );
         });
-    }
-
-    #[test]
-    fn single_plain_bank_is_a_passthrough() {
-        let spec = CmpSpec {
-            cores: 1,
-            banks: 1,
-            bank_kib: 32,
-            ways: 4,
-            ..CmpSpec::off()
-        };
-        assert!(spec.passthrough());
-        // Any LLC feature makes the scenario active.
-        for active in [
-            CmpSpec {
-                banks: 2,
-                ..spec.clone()
-            },
-            CmpSpec {
-                codec: CodecKind::Zrun,
-                ..spec.clone()
-            },
-            CmpSpec {
-                techs: vec![TechNode::T90],
-                ..spec.clone()
-            },
-            CmpSpec {
-                budget_uw: 100,
-                ..spec.clone()
-            },
-        ] {
-            assert!(!active.passthrough(), "{active:?}");
-        }
     }
 
     #[test]
@@ -384,7 +319,10 @@ mod tests {
         .validate(64)
         .is_err());
         assert!(CmpSpec {
-            quantum: 0,
+            banks: 0,
+            codec: CodecKind::Off,
+            techs: Vec::new(),
+            budget_uw: 0,
             ..quad.clone()
         }
         .validate(64)
@@ -397,6 +335,8 @@ mod tests {
         .validate(64)
         .is_err());
         assert_eq!(CmpSpec::off().validate(64), Ok(()));
+        // One plain bank is a real LLC, and a valid one.
+        assert_eq!(CmpSpec::parse("c1b1x32w4").unwrap().validate(64), Ok(()));
     }
 
     #[test]

@@ -9,28 +9,19 @@
 //! that core's own fetch stream ([`price_bus`]) — while the data side
 //! goes through [`simulate_cmp`]'s shared LLC.
 //!
-//! Degeneracy guarantees (the differential tests pin both):
-//!
-//! - a *disabled* spec never reaches this module
-//!   ([`FlowSpec::run`](crate::flows::FlowSpec::run) runs the
-//!   single-core flow), so zero-CMP reports stay byte-identical;
-//! - a *passthrough* spec (1 uncompressed bank, no tech axis, no
-//!   budget) is priced as the sum of independent single-core system
-//!   flows — for 1 core that is *exactly* the existing system flow.
+//! Every enabled spec takes that one path, a 1-bank uncompressed LLC
+//! included. A *disabled* spec never reaches this module
+//! ([`FlowSpec::run`](crate::flows::FlowSpec::run) runs the single-core
+//! flow), so zero-CMP reports stay byte-identical.
 
 use lpmem_buscode::BusChoice;
-use lpmem_cmp::{simulate_cmp, CmpReport, CmpSpec, CoreRun};
-use lpmem_compress::DiffCodec;
-use lpmem_energy::Energy;
-use lpmem_fault::{FaultSpec, ReliabilityReport};
+use lpmem_cmp::{simulate_cmp, CmpSpec, CoreRun};
+use lpmem_fault::FaultSpec;
 use lpmem_isa::Kernel;
 use lpmem_util::SplitMix64;
 
 use crate::flows::buscoding::{check_regions, price_bus};
-use crate::flows::spec::{
-    data_memory_exposure, fault_campaign, FlowSpec, FlowSummary, TechNode, VariantSpec,
-};
-use crate::flows::system::run_system_trace;
+use crate::flows::spec::{FlowSpec, FlowSummary, TechNode, VariantSpec};
 use crate::FlowError;
 
 /// The kernel core `i` runs: rotate through [`Kernel::ALL`] starting
@@ -43,9 +34,9 @@ fn core_kernel(base: Kernel, core: u32) -> Kernel {
     Kernel::ALL[(base_index + core as usize) % Kernel::ALL.len()]
 }
 
-/// The seed core `i` runs on. Core 0 keeps the task seed unchanged so
-/// the 1-core passthrough is bit-identical to the single-core flow;
-/// further cores derive from it on the CMP tag.
+/// The seed core `i` runs on. Core 0 keeps the task seed unchanged, so
+/// it runs the single-core flow's kernel on the same inputs; further
+/// cores derive from it on the CMP tag.
 fn core_seed(seed: u64, core: u32) -> u64 {
     if core == 0 {
         seed
@@ -124,57 +115,9 @@ pub fn run_cmp(
         .map_err(|why| FlowError::InvalidSpec(format!("cmp spec {}: {why}", cmp.label())))?;
     check_regions(variant.regions)?;
     let technology = tech.technology();
-    let workload = format!("cmp{}:{}", cmp.cores, kernel.name());
 
-    if cmp.passthrough() {
-        // Degenerate LLC: one uncompressed bank, no heterogeneity, no
-        // budget — every core's traffic passes straight through, so the
-        // chip prices as the sum of independent single-core systems.
-        let mut baseline = Energy::ZERO;
-        let mut optimized = Energy::ZERO;
-        let mut fetches = 0u64;
-        let mut reliability: Option<ReliabilityReport> = None;
-        for c in 0..cmp.cores {
-            let CoreRun { trace, image } = cmp_core_run(kernel, scale, seed, c)?;
-            let out = run_system_trace(
-                core_kernel(kernel, c).name(),
-                &trace,
-                image,
-                variant.platform,
-                &DiffCodec::new(),
-                variant.regions,
-                &technology,
-            )?;
-            baseline += out.baseline.total();
-            optimized += out.optimized.total();
-            fetches += out.fetches;
-            if fault.enabled() {
-                let mut exposure = data_memory_exposure(&trace, variant, &technology)?;
-                exposure.domain = u64::from(c);
-                let s = core_seed(seed, c);
-                let report = fault_campaign(fault, &technology, &exposure, s, &mut optimized);
-                reliability
-                    .get_or_insert_with(ReliabilityReport::default)
-                    .merge(&report);
-            }
-        }
-        return Ok(FlowSummary {
-            flow: FlowSpec::System,
-            workload,
-            baseline,
-            optimized,
-            events: fetches,
-            reliability,
-            cmp: Some(CmpReport {
-                spec: cmp.label(),
-                cores: cmp.cores,
-                ..CmpReport::default()
-            }),
-        });
-    }
-
-    // Active scenario. Instruction side first: each core's private bus
-    // encoder trains on its own fetch stream.
+    // Instruction side first: each core's private bus encoder trains on
+    // its own fetch stream.
     let runs = cmp_core_runs(kernel, scale, seed, cmp.cores)?;
     let ibus = price_bus(
         runs.iter().map(|run| &run.trace),
@@ -193,7 +136,7 @@ pub fn run_cmp(
 
     Ok(FlowSummary {
         flow: FlowSpec::System,
-        workload,
+        workload: format!("cmp{}:{}", cmp.cores, kernel.name()),
         baseline,
         optimized,
         events: ibus.fetches,
@@ -207,16 +150,6 @@ mod tests {
     use super::*;
     use crate::flows::spec::Scenario;
     use lpmem_fault::Protection;
-
-    fn passthrough_1core() -> CmpSpec {
-        CmpSpec {
-            cores: 1,
-            banks: 1,
-            bank_kib: 32,
-            ways: 4,
-            ..CmpSpec::off()
-        }
-    }
 
     /// `(flow, events, baseline_pj, optimized_pj, [injected, masked,
     /// detected, corrected, silent])` of `tests/golden.rs` at fir/48,
@@ -288,28 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn one_core_passthrough_degenerates_to_the_system_flow() {
-        // A 1-core chip with one plain LLC bank *is* the single-core
-        // system: same energies, same event count, exactly.
-        let variant = VariantSpec::default();
-        let spec = passthrough_1core();
-        for fault in [FaultSpec::off(), FaultSpec::accelerated(Protection::Secded)] {
-            let solo = FlowSpec::System
-                .run(&fir(TechNode::T90, &variant, fault, &CmpSpec::off()))
-                .unwrap();
-            let cmp = FlowSpec::System
-                .run(&fir(TechNode::T90, &variant, fault, &spec))
-                .unwrap();
-            assert_eq!(solo.baseline, cmp.baseline);
-            assert_eq!(solo.optimized, cmp.optimized);
-            assert_eq!(solo.events, cmp.events);
-            assert_eq!(solo.reliability, cmp.reliability);
-            assert_eq!(cmp.workload, "cmp1:fir");
-            assert_eq!(cmp.cmp.as_ref().map(|r| r.cores), Some(1));
-        }
-    }
-
-    #[test]
     fn cmp_applies_only_to_the_system_flow() {
         let variant = VariantSpec::default();
         let quad = CmpSpec::quad();
@@ -335,16 +246,19 @@ mod tests {
 
     #[test]
     fn invalid_specs_are_errors_not_panics() {
-        // Parses, but a compressed LLC with zero banks cannot be built.
-        let spec = CmpSpec::parse("c4b0x32w4-zrun").expect("parses");
+        // Parse, but an LLC with zero banks cannot be built, compressed or
+        // not.
         let variant = VariantSpec::default();
-        let err = FlowSpec::System
-            .run(&fir(TechNode::T180, &variant, FaultSpec::off(), &spec))
-            .unwrap_err();
-        assert!(
-            matches!(&err, FlowError::InvalidSpec(why) if why.contains("at least one bank")),
-            "{err}"
-        );
+        for label in ["c4b0x32w4-zrun", "c4b0x32w4"] {
+            let spec = CmpSpec::parse(label).expect("parses");
+            let err = FlowSpec::System
+                .run(&fir(TechNode::T180, &variant, FaultSpec::off(), &spec))
+                .unwrap_err();
+            assert!(
+                matches!(&err, FlowError::InvalidSpec(why) if why.contains("at least one bank")),
+                "{label}: {err}"
+            );
+        }
         // A bank smaller than one set of the platform's 64-byte lines.
         let tiny = CmpSpec {
             bank_kib: 0,
@@ -360,12 +274,16 @@ mod tests {
             &tiny,
         );
         assert!(matches!(err, Err(FlowError::InvalidSpec(_))));
-        // A region count the bus encoder rejects, on both CMP paths.
+        // A region count the bus encoder rejects, on a banked chip and on
+        // one core over a single plain bank.
         let no_regions = VariantSpec {
             regions: 0,
             ..VariantSpec::default()
         };
-        for spec in [CmpSpec::quad(), passthrough_1core()] {
+        for spec in [
+            CmpSpec::quad(),
+            CmpSpec::parse("c1b1x32w4").expect("parses"),
+        ] {
             let err = run_cmp(
                 Kernel::Fir,
                 48,
@@ -412,6 +330,38 @@ mod tests {
         let runs = cmp_core_runs(Kernel::Fir, 48, 2003, 4).unwrap();
         assert_eq!(runs.len(), 4);
         assert_ne!(runs[0].trace.len(), runs[1].trace.len());
+    }
+
+    #[test]
+    fn a_budget_that_darkens_no_bank_prices_like_no_budget() {
+        let variant = VariantSpec::default();
+        let run = |label: &str| {
+            let spec = CmpSpec::parse(label).expect("parses");
+            run_cmp(
+                Kernel::Fir,
+                48,
+                2003,
+                TechNode::T180,
+                &variant,
+                &FaultSpec::off(),
+                &spec,
+            )
+            .unwrap()
+        };
+        let free = run("c4b1x32w4");
+        let budgeted = run("c4b1x32w4-p100000");
+        let (free_report, budgeted_report) = (free.cmp.unwrap(), budgeted.cmp.unwrap());
+        assert_eq!(budgeted_report.dark_banks, 0);
+        assert_eq!(free_report.llc_banks, 1);
+        assert!(free_report.offchip_beats > 0);
+        assert_eq!(
+            free_report.json_fields(),
+            budgeted_report.json_fields(),
+            "{budgeted_report:?}"
+        );
+        assert_eq!(free.baseline, budgeted.baseline);
+        assert_eq!(free.optimized, budgeted.optimized);
+        assert_eq!(free.events, budgeted.events);
     }
 
     #[test]

@@ -82,8 +82,7 @@ pub fn run_system(
 
 /// Evaluates the platform on a captured trace (plus the initial memory
 /// image it ran against) at an explicit technology node: the trace-level
-/// system flow behind [`run_system`], the scenario entry point, and the
-/// CMP passthrough.
+/// system flow behind [`run_system`] and the scenario entry point.
 ///
 /// # Errors
 ///

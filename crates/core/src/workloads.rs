@@ -350,7 +350,7 @@ mod tests {
     fn kernel_runs_carry_their_trace_and_initial_image_on_both_backends() {
         let (scale, seed) = (4, 11);
         for kernel in Kernel::ALL {
-            let program = kernel.program(scale, seed);
+            let program = kernel.program(scale, seed).unwrap();
             let fresh = Machine::new(&program);
             let (trace, image) = kernel_trace_and_image(kernel, scale, seed).unwrap();
             // Every loaded byte, and every address the run touched (the

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use lpmem_buscode::BusChoice;
-use lpmem_cmp::{CmpSpec, DEFAULT_QUANTUM};
+use lpmem_cmp::CmpSpec;
 use lpmem_compress::CodecKind;
 use lpmem_core::flows::buscoding::check_regions;
 use lpmem_core::flows::compression::PlatformKind;
@@ -114,17 +114,11 @@ impl DesignPoint {
             return Err(format!("l0 capacity {} must be a power of two", self.l0));
         }
         if let Some(spec) = &self.cmp {
-            // On this axis `None` already is the single-core platform, so
-            // disabled and passthrough specs would only duplicate it under
-            // a different key — the axis carries active scenarios only.
+            // On this axis `None` already is the single-core platform, so a
+            // disabled spec would only duplicate it under a different key —
+            // the axis carries enabled scenarios only.
             if !spec.enabled() {
                 return Err("a CMP scenario on the axis must be enabled".to_owned());
-            }
-            if spec.passthrough() {
-                return Err(format!(
-                    "passthrough CMP scenario {} duplicates the single-core point",
-                    spec.label()
-                ));
             }
             spec.validate(self.cache.line)
                 .map_err(|e| format!("cmp scenario: {e}"))?;
@@ -266,7 +260,6 @@ impl DesignSpace {
                                     codec,
                                     techs: techs.to_vec(),
                                     budget_uw: 600,
-                                    quantum: DEFAULT_QUANTUM,
                                 }));
                             }
                         }
@@ -702,19 +695,6 @@ mod tests {
         good.validate().unwrap();
         assert!(DesignPoint {
             cmp: Some(CmpSpec::off()),
-            ..good.clone()
-        }
-        .validate()
-        .is_err());
-        let passthrough = CmpSpec {
-            cores: 2,
-            banks: 1,
-            bank_kib: 32,
-            ways: 4,
-            ..CmpSpec::off()
-        };
-        assert!(DesignPoint {
-            cmp: Some(passthrough),
             ..good.clone()
         }
         .validate()

@@ -190,7 +190,7 @@ mod tests {
         // Every word of every kernel's text section must disassemble (the
         // kernels keep data out of .text).
         for &kernel in &crate::Kernel::ALL {
-            let program = kernel.program(4, 1);
+            let program = kernel.program(4, 1).unwrap();
             let words = program.text_words();
             for (i, &w) in words.iter().enumerate() {
                 assert!(
@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn disassembly_reassembles_to_identical_words() {
-        let program = crate::Kernel::Fir.program(8, 2);
+        let program = crate::Kernel::Fir.program(8, 2).unwrap();
         let words = program.text_words();
         let source: String = disassemble(0, &words)
             .into_iter()

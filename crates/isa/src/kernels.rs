@@ -32,6 +32,12 @@ const IN_BASE: u32 = 0x1_0000;
 const OUT_BASE: u32 = 0x2_0000;
 /// Base address of lookup tables.
 const TBL_BASE: u32 = 0x3_0000;
+/// Bytes of the input region (`IN_BASE..OUT_BASE`) and of the output
+/// region (`OUT_BASE..TBL_BASE`).
+const REGION_BYTES: u128 = (OUT_BASE - IN_BASE) as u128;
+/// Offset from `OUT_BASE` of the RLE encoder's output-length word: its
+/// run pairs must end before it.
+const RLE_OUTLEN_OFFSET: u32 = 0x8000;
 /// The step budget of every kernel run: generous enough for any kernel at
 /// any scale the harnesses use.
 pub const MAX_STEPS: u64 = 200_000_000;
@@ -113,13 +119,57 @@ impl Kernel {
     /// Assembles the kernel at the given `scale` with inputs drawn from
     /// `seed`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `scale` is zero (every kernel needs at least one element).
-    pub fn program(self, scale: u32, seed: u64) -> Program {
-        assert!(scale > 0, "scale must be positive");
-        let src = self.source(scale, seed);
-        assemble(&src).unwrap_or_else(|e| panic!("kernel {} failed to assemble: {e}", self.name()))
+    /// Returns [`IsaError::Scale`] when the kernel cannot run at `scale`:
+    /// too few elements for its loops, or data that overruns its region
+    /// (inputs from `0x10000`, outputs from `0x20000`, 64 KiB each).
+    pub fn program(self, scale: u32, seed: u64) -> Result<Program, IsaError> {
+        let src = self
+            .check_scale(scale)
+            .and_then(|()| self.source(scale, seed))
+            .map_err(|msg| IsaError::Scale {
+                kernel: self.name(),
+                scale,
+                msg,
+            })?;
+        Ok(assemble(&src)
+            .unwrap_or_else(|e| panic!("kernel {} failed to assemble: {e}", self.name())))
+    }
+
+    /// Checks the layout every seed shares: the smallest scale the
+    /// kernel's loops handle, and input and output arrays that each fit
+    /// their region, so that no array overruns the next.
+    fn check_scale(self, scale: u32) -> Result<(), String> {
+        let min = match self {
+            Kernel::BubbleSort => 2,
+            Kernel::Conv2d => 3,
+            _ => 1,
+        };
+        if scale < min {
+            return Err(format!("the smallest scale is {min}"));
+        }
+        let n = u128::from(scale);
+        let (input, output) = match self {
+            Kernel::MatMul => (8 * n * n, 4 * n * n),
+            Kernel::Fir => (4 * (n + 32), 4 * n),
+            Kernel::Dct8 => (32 * n, 32 * n),
+            Kernel::Histogram => (16 * n, 1024),
+            Kernel::Crc32 => (16 * n, 4),
+            Kernel::BubbleSort => (4 * n, 0),
+            Kernel::StrSearch => (16 * n + 4, 4),
+            // The run pairs depend on the input; `rle_src` checks them.
+            Kernel::RleEncode => (16 * n, 0),
+            Kernel::Conv2d => (4 * n * n, 4 * (n - 2) * (n - 2)),
+        };
+        for (what, bytes) in [("input", input), ("output", output)] {
+            if bytes > REGION_BYTES {
+                return Err(format!(
+                    "its {bytes} {what} bytes overrun the {REGION_BYTES}-byte {what} region"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Assembles, runs (within [`MAX_STEPS`]), and verifies the kernel,
@@ -127,8 +177,8 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Propagates machine errors ([`IsaError::StepLimit`],
-    /// [`IsaError::IllegalInstruction`]).
+    /// Returns [`Kernel::program`]'s scale errors and propagates machine
+    /// errors ([`IsaError::StepLimit`], [`IsaError::IllegalInstruction`]).
     ///
     /// # Panics
     ///
@@ -149,7 +199,7 @@ impl Kernel {
     ///
     /// As for [`Kernel::run`].
     pub fn run_with(self, backend: Backend, scale: u32, seed: u64) -> Result<KernelRun, IsaError> {
-        let mut machine = Machine::new(&self.program(scale, seed));
+        let mut machine = Machine::new(&self.program(scale, seed)?);
         let image = machine.mem().clone();
         let result = machine.run_with(backend, MAX_STEPS)?;
         self.verify(scale, seed, &machine);
@@ -162,9 +212,9 @@ impl Kernel {
         })
     }
 
-    fn source(self, scale: u32, seed: u64) -> String {
+    fn source(self, scale: u32, seed: u64) -> Result<String, String> {
         let mut rng = Rng::seed_from_u64(seed ^ (self as u64) << 32);
-        match self {
+        Ok(match self {
             Kernel::MatMul => matmul_src(scale, &mut rng),
             Kernel::Fir => fir_src(scale, &mut rng),
             Kernel::Dct8 => dct8_src(scale, &mut rng),
@@ -172,9 +222,9 @@ impl Kernel {
             Kernel::Crc32 => crc32_src(scale * 16, &mut rng),
             Kernel::BubbleSort => bsort_src(scale, &mut rng),
             Kernel::StrSearch => strsearch_src(scale * 16, &mut rng),
-            Kernel::RleEncode => rle_src(scale * 16, &mut rng),
+            Kernel::RleEncode => rle_src(scale * 16, &mut rng)?,
             Kernel::Conv2d => conv2d_src(scale, &mut rng),
-        }
+        })
     }
 
     /// Checks a machine that ran [`Kernel::program`] at `scale` and `seed`
@@ -282,7 +332,7 @@ impl Kernel {
             Kernel::RleEncode => {
                 let input = rle_input(scale as usize * 16, &mut rng);
                 let pairs = rle_reference(&input);
-                let got_words = mem.read_u32((OUT_BASE + 0x8000) as u64) as usize;
+                let got_words = mem.read_u32((OUT_BASE + RLE_OUTLEN_OFFSET) as u64) as usize;
                 assert_eq!(got_words, 2 * pairs.len(), "rle output length");
                 for (i, &(value, count)) in pairs.iter().enumerate() {
                     let v = mem.read_u32(OUT_BASE as u64 + 8 * i as u64);
@@ -781,10 +831,16 @@ out: .space 4
     )
 }
 
-fn rle_src(len: u32, rng: &mut Rng) -> String {
+fn rle_src(len: u32, rng: &mut Rng) -> Result<String, String> {
     let input = rle_input(len as usize, rng);
-    let outlen_addr = OUT_BASE + 0x8000;
-    format!(
+    let pairs = rle_reference(&input).len();
+    let outlen_addr = OUT_BASE + RLE_OUTLEN_OFFSET;
+    if 8 * pairs > RLE_OUTLEN_OFFSET as usize {
+        return Err(format!(
+            "its {pairs} run pairs overrun the output length word at {outlen_addr:#x}"
+        ));
+    }
+    Ok(format!(
         r#"
     .data {IN_BASE:#x}
 inp:
@@ -823,11 +879,10 @@ outlen: .space 4
 "#,
         in_words = byte_words(&input),
         out_bytes = 8 * len, // worst case: every byte its own run
-    )
+    ))
 }
 
 fn conv2d_src(w: u32, rng: &mut Rng) -> String {
-    assert!(w >= 3, "conv2d needs at least a 3x3 image");
     let (img, ker) = conv2d_inputs(w as usize, rng);
     format!(
         r#"
@@ -951,9 +1006,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "3x3 image")]
-    fn conv2d_rejects_tiny_images() {
-        Kernel::Conv2d.program(2, 1);
+    fn scales_outside_the_layout_are_errors() {
+        for (kernel, scale) in [
+            (Kernel::MatMul, 0),
+            (Kernel::BubbleSort, 1),
+            (Kernel::Conv2d, 2),
+            (Kernel::MatMul, 91),
+            (Kernel::Fir, 16_353),
+            (Kernel::Dct8, 2049),
+            (Kernel::Histogram, 4097),
+            (Kernel::Crc32, 4097),
+            (Kernel::StrSearch, 4096),
+            (Kernel::RleEncode, 4097),
+            (Kernel::Conv2d, 129),
+            (Kernel::MatMul, u32::MAX),
+            (Kernel::RleEncode, u32::MAX),
+        ] {
+            let err = kernel.run(scale, 1).unwrap_err();
+            assert!(
+                matches!(err, IsaError::Scale { kernel: k, scale: s, .. } if k == kernel.name() && s == scale),
+                "{kernel} at {scale}: {err}"
+            );
+        }
+        // The largest scales that fit still run and verify.
+        Kernel::MatMul.run(90, 1).unwrap();
+        Kernel::Conv2d.run(128, 1).unwrap();
+        // RLE's run pairs depend on the input: at 4096 they overrun the
+        // output length word although the input fits.
+        let err = Kernel::RleEncode.program(4096, 1).unwrap_err().to_string();
+        assert!(err.contains("run pairs"), "{err}");
+        Kernel::RleEncode.run(2048, 1).unwrap();
     }
 
     #[test]
@@ -986,7 +1068,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fir")]
     fn verify_rejects_a_machine_that_ran_other_inputs() {
-        let mut machine = Machine::new(&Kernel::Fir.program(16, 7));
+        let mut machine = Machine::new(&Kernel::Fir.program(16, 7).unwrap());
         machine.run(MAX_STEPS).unwrap();
         Kernel::Fir.verify(16, 8, &machine);
     }

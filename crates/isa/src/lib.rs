@@ -78,6 +78,15 @@ pub enum IsaError {
         /// The exhausted budget.
         steps: u64,
     },
+    /// A kernel cannot run at the requested scale.
+    Scale {
+        /// The kernel's name.
+        kernel: &'static str,
+        /// The rejected scale.
+        scale: u32,
+        /// Why the scale does not fit.
+        msg: String,
+    },
 }
 
 impl std::fmt::Display for IsaError {
@@ -89,6 +98,9 @@ impl std::fmt::Display for IsaError {
             }
             IsaError::StepLimit { steps } => {
                 write!(f, "program did not halt within {steps} steps")
+            }
+            IsaError::Scale { kernel, scale, msg } => {
+                write!(f, "{kernel} cannot run at scale {scale}: {msg}")
             }
         }
     }

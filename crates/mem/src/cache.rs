@@ -2,41 +2,20 @@
 
 use crate::{Backing, MemError};
 
-/// Write policy of a [`Cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WritePolicy {
-    /// Write-back with write-allocate: stores dirty the line; dirty lines
-    /// are written to the backing on eviction or [`Cache::flush`]. This is
-    /// the policy the 1B.2 compression scheme targets.
-    WriteBackAllocate,
-    /// Write-through with no-write-allocate: stores go straight to the
-    /// backing; write misses do not fill.
-    WriteThroughNoAllocate,
-}
-
-/// Replacement policy of a [`Cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Least-recently used.
-    Lru,
-    /// First-in first-out (insertion order).
-    Fifo,
-}
-
-/// Geometry and policies of a [`Cache`].
+/// Geometry of a [`Cache`]. Every cache is write-back with
+/// write-allocate (stores dirty the line; dirty lines reach the backing on
+/// eviction or [`Cache::flush`], the policy the 1B.2 compression scheme
+/// targets) and replaces the least-recently used way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     size_bytes: u64,
     line_bytes: u32,
     assoc: u32,
-    write_policy: WritePolicy,
-    replacement: ReplacementPolicy,
 }
 
 impl CacheConfig {
     /// Creates a configuration: `size_bytes` capacity, `line_bytes` lines,
-    /// `assoc`-way associativity, defaulting to write-back/write-allocate
-    /// with LRU replacement.
+    /// `assoc`-way associativity.
     ///
     /// # Errors
     ///
@@ -75,21 +54,7 @@ impl CacheConfig {
             size_bytes,
             line_bytes,
             assoc,
-            write_policy: WritePolicy::WriteBackAllocate,
-            replacement: ReplacementPolicy::Lru,
         })
-    }
-
-    /// Sets the write policy.
-    pub fn write_policy(mut self, policy: WritePolicy) -> Self {
-        self.write_policy = policy;
-        self
-    }
-
-    /// Sets the replacement policy.
-    pub fn replacement(mut self, policy: ReplacementPolicy) -> Self {
-        self.replacement = policy;
-        self
     }
 
     /// Cache capacity in bytes.
@@ -126,8 +91,7 @@ pub struct CacheStats {
     pub write_hits: u64,
     /// Lines fetched from the backing.
     pub fills: u64,
-    /// Dirty lines written to the backing (evictions and flushes); for
-    /// write-through caches, the number of store-driven backing writes.
+    /// Dirty lines written to the backing (evictions and flushes).
     pub writebacks: u64,
     /// Clean lines dropped on eviction.
     pub clean_evictions: u64,
@@ -256,7 +220,8 @@ impl Cache {
         }
     }
 
-    /// Writes `data` starting at `addr`, honouring the write policy.
+    /// Writes `data` starting at `addr`, allocating on miss and dirtying
+    /// the line.
     pub fn write(&mut self, addr: u64, data: &[u8], mut backing: impl Backing) {
         self.stats.writes += 1;
         let mut all_hit = true;
@@ -266,28 +231,12 @@ impl Cache {
             let base = self.line_base(a);
             let line_off = (a - base) as usize;
             let n = ((self.cfg.line_bytes as usize) - line_off).min(data.len() - done);
+            let (way, hit) = self.lookup_or_fill(a, &mut backing);
+            all_hit &= hit;
             let set = self.set_index(a);
-            let tag = self.tag_of(a);
-            match self.cfg.write_policy {
-                WritePolicy::WriteBackAllocate => {
-                    let (way, hit) = self.lookup_or_fill(a, &mut backing);
-                    all_hit &= hit;
-                    let line = &mut self.sets[set][way];
-                    line.data[line_off..line_off + n].copy_from_slice(&data[done..done + n]);
-                    line.dirty = true;
-                }
-                WritePolicy::WriteThroughNoAllocate => {
-                    backing.write_block(a, &data[done..done + n]);
-                    self.stats.writebacks += 1;
-                    if let Some(way) = self.probe(set, tag) {
-                        self.touch(set, way);
-                        let line = &mut self.sets[set][way];
-                        line.data[line_off..line_off + n].copy_from_slice(&data[done..done + n]);
-                    } else {
-                        all_hit = false;
-                    }
-                }
-            }
+            let line = &mut self.sets[set][way];
+            line.data[line_off..line_off + n].copy_from_slice(&data[done..done + n]);
+            line.dirty = true;
             done += n;
         }
         if all_hit {
@@ -330,10 +279,8 @@ impl Cache {
     }
 
     fn touch(&mut self, set: usize, way: usize) {
-        if self.cfg.replacement == ReplacementPolicy::Lru {
-            self.tick += 1;
-            self.sets[set][way].stamp = self.tick;
-        }
+        self.tick += 1;
+        self.sets[set][way].stamp = self.tick;
     }
 
     /// Returns `(way, was_hit)`, filling the line on a miss.
@@ -374,7 +321,7 @@ impl Cache {
         line.tag = tag;
         line.valid = true;
         line.dirty = false;
-        line.stamp = self.tick; // both LRU and FIFO stamp on insertion
+        line.stamp = self.tick;
         (way, false)
     }
 }
@@ -462,49 +409,6 @@ mod tests {
         c.read_word(0, &mut m); // A still resident
         assert_eq!(c.stats().fills, 3);
         assert_eq!(c.stats().read_hits, 2);
-    }
-
-    #[test]
-    fn fifo_evicts_insertion_order() {
-        let cfg = CacheConfig::new(32, 16, 2)
-            .unwrap()
-            .replacement(ReplacementPolicy::Fifo);
-        let mut c = Cache::new(cfg);
-        let mut m = FlatMemory::new();
-        c.read_word(0, &mut m); // A inserted first
-        c.read_word(64, &mut m); // B
-        c.read_word(0, &mut m); // hit A; FIFO must NOT refresh its age
-        c.read_word(128, &mut m); // C evicts A under FIFO
-        c.read_word(64, &mut m); // B still resident
-        assert_eq!(c.stats().fills, 3);
-    }
-
-    #[test]
-    fn write_through_no_allocate_bypasses_on_miss() {
-        let cfg = CacheConfig::new(1 << 10, 16, 1)
-            .unwrap()
-            .write_policy(WritePolicy::WriteThroughNoAllocate);
-        let mut c = Cache::new(cfg);
-        let mut m = RecordingBacking::new(FlatMemory::new());
-        c.write_word(0x40, 0xABCD_EF01, &mut m);
-        assert_eq!(c.stats().fills, 0); // no allocate
-        assert_eq!(m.write_backs().len(), 1);
-        assert_eq!(m.inner().read_u32(0x40), 0xABCD_EF01);
-        // A subsequent read must fill and see the stored value.
-        assert_eq!(c.read_word(0x40, &mut m), 0xABCD_EF01);
-    }
-
-    #[test]
-    fn write_through_updates_resident_line() {
-        let cfg = CacheConfig::new(1 << 10, 16, 1)
-            .unwrap()
-            .write_policy(WritePolicy::WriteThroughNoAllocate);
-        let mut c = Cache::new(cfg);
-        let mut m = FlatMemory::new();
-        c.read_word(0x40, &mut m); // make line resident
-        c.write_word(0x40, 7, &mut m);
-        assert_eq!(c.stats().write_hits, 1);
-        assert_eq!(c.read_word(0x40, &mut m), 7);
     }
 
     #[test]

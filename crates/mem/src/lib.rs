@@ -31,7 +31,7 @@ pub mod backing;
 pub mod cache;
 
 pub use backing::{Backing, FlatMemory, RecordingBacking, PAGE_SIZE};
-pub use cache::{Cache, CacheConfig, CacheStats, ReplacementPolicy, WritePolicy};
+pub use cache::{Cache, CacheConfig, CacheStats};
 
 /// Errors produced when configuring the memory hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]

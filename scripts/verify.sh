@@ -183,20 +183,22 @@ cargo run --release --locked --offline -p lpmem-bench --bin sweep -- \
 cmp target/cmp_off.jsonl target/cmp_plain.jsonl
 
 echo "==> invalid cmp spec smoke: rejected before any task runs (exit 2, no panic)"
-# `c4b0x32w4-zrun` parses but describes a compressed LLC with no banks.
-# The sweep must refuse it up front with a usage error (exit 2) instead
-# of panicking inside a task.
-set +e
-cargo run --release --locked --offline -p lpmem-bench --bin sweep -- \
-    --quick --flows system --kernels fir --techs t180 --variants default \
-    --cmp c4b0x32w4-zrun --jsonl /dev/null 2>target/cmp_invalid.err
-status=$?
-set -e
-if [ "$status" -ne 2 ] || grep -q panicked target/cmp_invalid.err; then
-    echo "expected exit 2 without a panic, got exit $status:"
-    cat target/cmp_invalid.err
-    exit 1
-fi
+# `c4b0x32w4-zrun` and `c4b0x32w4` parse but describe an LLC with no
+# banks, compressed or not. The sweep must refuse each up front with a
+# usage error (exit 2) instead of panicking inside a task.
+for spec in c4b0x32w4-zrun c4b0x32w4; do
+    set +e
+    cargo run --release --locked --offline -p lpmem-bench --bin sweep -- \
+        --quick --flows system --kernels fir --techs t180 --variants default \
+        --cmp "$spec" --jsonl /dev/null 2>target/cmp_invalid.err
+    status=$?
+    set -e
+    if [ "$status" -ne 2 ] || grep -q panicked target/cmp_invalid.err; then
+        echo "--cmp $spec: expected exit 2 without a panic, got exit $status:"
+        cat target/cmp_invalid.err
+        exit 1
+    fi
+done
 
 echo "==> cmp-bench quick run: counters match BENCH_cmp.json (DESIGN.md §13)"
 # Quick sampling times less than the full run behind the committed

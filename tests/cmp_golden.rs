@@ -2,11 +2,14 @@
 //! seeds must reproduce the exact numbers stored in-tree.
 //!
 //! The crate-level tests in `lpmem-cmp` and `lpmem-core` check *shapes*
-//! (compression helps, dark banks appear under tight budgets, the 1-core
-//! passthrough degenerates); this suite pins *values* across the public
-//! harness — `FlowSpec::run` on a CMP `Scenario` and the `--cmp` sweep axis — so any
-//! drift in the interleaver, the NUCA mapping, the LLC codecs, or the
-//! dark-silicon gating is a conscious, recorded decision.
+//! (compression helps, dark banks appear under tight budgets, a budget
+//! that darkens no bank changes nothing); this suite pins *values*
+//! across the public harness — `FlowSpec::run` on a CMP `Scenario` and
+//! the `--cmp` sweep axis — so any drift in the interleaver, the NUCA
+//! mapping, the LLC codecs, or the dark-silicon gating is a conscious,
+//! recorded decision. Every enabled spec, a 1-bank LLC included, runs the
+//! shared-LLC simulation; only a disabled spec prices like the
+//! single-core flow.
 //!
 //! To regenerate after an intentional change, run with
 //! `LPMEM_GOLDEN_PRINT=1` (e.g. `LPMEM_GOLDEN_PRINT=1 cargo test --test
@@ -204,31 +207,6 @@ fn golden_cmp_values_are_reproduced_exactly() {
             g.reliability,
             "{label}: reliability counts drifted"
         );
-    }
-}
-
-/// A 1-core chip with one uncompressed LLC bank, no technology axis, and
-/// no power budget *is* the single-core system flow — same energies, same
-/// event count, same fault-campaign outcome, through the public harness.
-#[test]
-fn one_core_passthrough_matches_the_single_core_system_flow() {
-    let variant = VariantSpec::default();
-    let passthrough = CmpSpec::parse("c1b1x32w4").expect("passthrough spec");
-    for fault in ["off", "secded"] {
-        let solo = Scenario {
-            fault: FaultSpec::parse(fault).expect("known fault spec"),
-            ..Scenario::new(Kernel::Fir, 48, SEED, TechNode::T90, &variant)
-        };
-        let chip = Scenario {
-            cmp: &passthrough,
-            ..solo.clone()
-        };
-        let solo = FlowSpec::System.run(&solo).expect("solo system flow");
-        let cmp = FlowSpec::System.run(&chip).expect("1-core CMP flow");
-        assert_eq!(solo.baseline, cmp.baseline);
-        assert_eq!(solo.optimized, cmp.optimized);
-        assert_eq!(solo.events, cmp.events);
-        assert_eq!(solo.reliability, cmp.reliability);
     }
 }
 
