@@ -5,10 +5,11 @@
 //! grid already runs (DSE-1).
 
 use lpmem_bench::sweep::SweepGrid;
-use lpmem_core::flows::FaultSpec;
+use lpmem_buscode::BusChoice;
+use lpmem_core::flows::{CmpSpec, CodecKind, FaultSpec};
 use lpmem_explore::{
-    DesignPoint, DesignSpace, Evaluator, Evolutionary, Exhaustive, SearchConfig, SearchStrategy,
-    Workload,
+    CacheGeom, DesignPoint, DesignSpace, Evaluator, Evolutionary, Exhaustive, Frontier,
+    SearchConfig, SearchStrategy, Workload,
 };
 
 /// A workload small enough for test time; identical across every test so
@@ -218,6 +219,60 @@ fn check_pinned_frontier(space: &DesignSpace, budget: usize, golden: &[&str], na
     }
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines, golden, "{name} drifted");
+}
+
+/// Single CMP evaluations, one JSONL row each (the `to_jsonl` of a
+/// one-member frontier). The searches above may keep no CMP point on
+/// their frontiers, so these rows pin the shared-LLC replay directly:
+/// every L1 line size (16, 32 and 64 B), a 1-way L1, each LLC codec,
+/// 2, 4 and 8 cores, a power budget that darkens banks, and two points
+/// scored under a SECDED fault campaign. Regenerate as
+/// [`FULL_FRONTIER`].
+const CMP_EVALUATIONS: &[&str] = &[
+    "{\"key\":\"b4-k1024-c2048x16x2-diff-xor8-l0512-c2b4x16w2\",\"banks\":4,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":197231961.52581474,\"area_mm2\":5.721040218281638,\"cycles\":28363,\"cmp\":\"c2b4x16w2\",\"cores\":2,\"llc_banks\":4,\"dark_banks\":0,\"llc_lookups\":172,\"llc_hits\":44,\"llc_lines\":128,\"llc_compressed\":0,\"offchip_beats\":640,\"cmp_cycles\":9623}",
+    "{\"key\":\"b4-k1024-c2048x32x1-diff-xor8-l0512-c2b2x32w4-diff\",\"banks\":4,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":32,\"cache_ways\":1,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":196849448.0288193,\"area_mm2\":5.715557124524237,\"cycles\":27472,\"cmp\":\"c2b2x32w4-diff\",\"cores\":2,\"llc_banks\":2,\"dark_banks\":0,\"llc_lookups\":571,\"llc_hits\":523,\"llc_lines\":48,\"llc_compressed\":192,\"offchip_beats\":460,\"cmp_cycles\":8732}",
+    "{\"key\":\"b4-k1024-c4096x64x2-diff-xor8-l0512-c8b8x64w4-zrun-t180+t90-p600\",\"banks\":4,\"block\":1024,\"cache_bytes\":4096,\"cache_line\":64,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":204794050.83928752,\"area_mm2\":16.864027099553844,\"cycles\":114430,\"cmp\":\"c8b8x64w4-zrun-t180+t90-p600\",\"cores\":8,\"llc_banks\":8,\"dark_banks\":7,\"llc_lookups\":72,\"llc_hits\":58,\"llc_lines\":14,\"llc_compressed\":20,\"offchip_beats\":3464,\"cmp_cycles\":43883}",
+    "{\"key\":\"b4-k1024-c4096x32x2-diff-xor8-l0512-c4b4x32w2-fpc-t130\",\"banks\":4,\"block\":1024,\"cache_bytes\":4096,\"cache_line\":32,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":198777197.38989806,\"area_mm2\":6.445045071402937,\"cycles\":40681,\"cmp\":\"c4b4x32w2-fpc-t130\",\"cores\":4,\"llc_banks\":4,\"dark_banks\":0,\"llc_lookups\":207,\"llc_hits\":56,\"llc_lines\":151,\"llc_compressed\":141,\"offchip_beats\":1220,\"cmp_cycles\":16802}",
+    "{\"key\":\"b4-k1024-c2048x16x1-diff-xor8-l0512-c8b2x16w2-fpc\",\"banks\":4,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":1,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":201680406.7293689,\"area_mm2\":5.1294786714029375,\"cycles\":104643,\"cmp\":\"c8b2x16w2-fpc\",\"cores\":8,\"llc_banks\":2,\"dark_banks\":0,\"llc_lookups\":1121,\"llc_hits\":589,\"llc_lines\":532,\"llc_compressed\":623,\"offchip_beats\":2225,\"cmp_cycles\":34096}",
+    "{\"key\":\"b4-k1024-c4096x64x2-diff-xor8-l0512-c4b8x32w4-zrun-t180+t90-p600\",\"banks\":4,\"block\":1024,\"cache_bytes\":4096,\"cache_line\":64,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":199341615.89399955,\"area_mm2\":12.663765471402941,\"cycles\":43131,\"injected\":70,\"masked\":70,\"detected\":0,\"corrected\":0,\"silent\":0,\"cmp\":\"c4b8x32w4-zrun-t180+t90-p600\",\"cores\":4,\"llc_banks\":8,\"dark_banks\":2,\"llc_lookups\":135,\"llc_hits\":74,\"llc_lines\":61,\"llc_compressed\":44,\"offchip_beats\":1424,\"cmp_cycles\":18740}",
+    "{\"key\":\"b4-k1024-c2048x16x2-diff-xor8-l0512-c2b4x16w4-diff\",\"banks\":4,\"block\":1024,\"cache_bytes\":2048,\"cache_line\":16,\"cache_ways\":2,\"codec\":\"diff\",\"bus\":\"xor8\",\"l0\":512,\"energy_pj\":196800850.84581473,\"area_mm2\":6.820546218281637,\"cycles\":27179,\"injected\":3,\"masked\":3,\"detected\":0,\"corrected\":0,\"silent\":0,\"cmp\":\"c2b4x16w4-diff\",\"cores\":2,\"llc_banks\":4,\"dark_banks\":0,\"llc_lookups\":172,\"llc_hits\":76,\"llc_lines\":96,\"llc_compressed\":138,\"offchip_beats\":467,\"cmp_cycles\":7927}",
+];
+
+#[test]
+fn cmp_evaluations_are_pinned() {
+    let plain = Evaluator::new(tiny_workload()).expect("workload runs");
+    let secded = FaultSpec::parse("secded").expect("secded parses");
+    let faulty = Evaluator::with_faults(tiny_workload(), secded).expect("workload runs");
+    let cases = [
+        (&plain, (2048, 16, 2), "c2b4x16w2"),
+        (&plain, (2048, 32, 1), "c2b2x32w4-diff"),
+        (&plain, (4096, 64, 2), "c8b8x64w4-zrun-t180+t90-p600"),
+        (&plain, (4096, 32, 2), "c4b4x32w2-fpc-t130"),
+        (&plain, (2048, 16, 1), "c8b2x16w2-fpc"),
+        (&faulty, (4096, 64, 2), "c4b8x32w4-zrun-t180+t90-p600"),
+        (&faulty, (2048, 16, 2), "c2b4x16w4-diff"),
+    ];
+    let mut rows = Vec::new();
+    for (evaluator, (size, line, ways), label) in cases {
+        let point = DesignPoint {
+            banks: 4,
+            block: 1024,
+            cache: CacheGeom { size, line, ways },
+            codec: CodecKind::Diff,
+            bus: BusChoice::Xor(8),
+            l0: 512,
+            cmp: Some(CmpSpec::parse(label).expect("label parses")),
+        };
+        let mut frontier = Frontier::new();
+        frontier.insert(evaluator.evaluate(&point).expect("point evaluates"));
+        rows.push(frontier.to_jsonl().trim_end().to_owned());
+    }
+    if std::env::var_os("LPMEM_GOLDEN_PRINT").is_some() {
+        let lines: Vec<String> = rows.iter().map(|l| format!("    {l:?},")).collect();
+        println!("CMP_EVALUATIONS:\n{}", lines.join("\n"));
+        return;
+    }
+    assert_eq!(rows, CMP_EVALUATIONS, "CMP_EVALUATIONS drifted");
 }
 
 #[test]
