@@ -15,7 +15,7 @@ use std::borrow::Borrow;
 use lpmem_compress::{CodecKind, LineCodec};
 use lpmem_energy::{AreaReport, Energy, EnergyReport, OffChipModel, SramModel, Technology};
 use lpmem_fault::{run_campaign, BankExposure, FaultExposure, FaultSpec, ReliabilityReport};
-use lpmem_mem::{Cache, CacheConfig, FlatMemory, RecordingBacking};
+use lpmem_mem::{Backing, Cache, CacheConfig, FlatMemory};
 use lpmem_partition::sleep::SleepPolicy;
 use lpmem_trace::{AccessKind, MemEvent, Trace};
 
@@ -195,6 +195,11 @@ impl TrafficRouter {
 /// read in place, and each core's L1 replays against its own copy of the
 /// run's data image.
 ///
+/// Each L1's next level is a [`Backing`] over the LLC router: the router
+/// sees every dirty victim and every fill the moment the L1 hands it
+/// over, a victim before the fill that displaced it, and the core's image
+/// stores the victim and supplies the fill.
+///
 /// # Panics
 ///
 /// Panics when `spec` is disabled (callers route those through the
@@ -229,7 +234,6 @@ pub fn simulate_cmp(
     // Per-core data event streams, read in place from the traces; the
     // tick clock is one data event.
     let traces: Vec<&Trace> = runs.iter().map(|r| &r.borrow().trace).collect();
-    let total_events: u64 = traces.iter().map(|t| data_events(t).count() as u64).sum();
 
     // Bank-to-technology assignment via the partition machinery.
     let partition = spec.tech_partition();
@@ -251,6 +255,8 @@ pub fn simulate_cmp(
             heat[probe.bank_of(core, ev.addr) as usize] += 1;
         }
     }
+    // Every data event heats exactly one bank.
+    let total_events: u64 = heat.iter().sum();
     let mut lit = vec![true; banks];
     let mut dark_banks = 0u32;
     if spec.budget_uw > 0 {
@@ -288,35 +294,31 @@ pub fn simulate_cmp(
         compressed_lines: 0,
     };
     let mut caches: Vec<Cache> = (0..runs.len()).map(|_| Cache::new(l1)).collect();
-    let mut mems: Vec<RecordingBacking<FlatMemory>> = runs
-        .iter()
-        .map(|r| RecordingBacking::new(r.borrow().image.clone()))
-        .collect();
+    let mut images: Vec<FlatMemory> = runs.iter().map(|r| r.borrow().image.clone()).collect();
     let mut streams: Vec<_> = traces.iter().map(|t| data_events(t)).collect();
     let mut remaining = total_events;
     while remaining > 0 {
         for (core, stream) in streams.iter_mut().enumerate() {
             for ev in stream.by_ref().take(QUANTUM) {
+                let next = L1Next::new(&mut router, core, &mut images[core]);
                 let n = (ev.size as usize).min(4);
                 match ev.kind {
                     AccessKind::Read => {
                         let mut buf = [0u8; 4];
-                        caches[core].read(ev.addr, &mut buf[..n], &mut mems[core]);
+                        caches[core].read(ev.addr, &mut buf[..n], next);
                     }
                     AccessKind::Write => {
                         let bytes = ev.value.to_le_bytes();
-                        caches[core].write(ev.addr, &bytes[..n], &mut mems[core]);
+                        caches[core].write(ev.addr, &bytes[..n], next);
                     }
                     AccessKind::InstrFetch => unreachable!("fetches are filtered out"),
                 }
-                drain_l1_traffic(&mut router, &mut mems[core], core, line_bytes);
                 remaining -= 1;
             }
         }
     }
-    for core in 0..runs.len() {
-        caches[core].flush(&mut mems[core]);
-        drain_l1_traffic(&mut router, &mut mems[core], core, line_bytes);
+    for (core, (cache, image)) in caches.iter_mut().zip(&mut images).enumerate() {
+        cache.flush(L1Next::new(&mut router, core, image));
     }
     router.offchip_wb_beats += router
         .llc
@@ -338,29 +340,36 @@ pub fn simulate_cmp(
     )
 }
 
-/// Forwards the L1's recorded miss traffic to the router: evictions
-/// (write-backs) first, then the fills that displaced them.
-fn drain_l1_traffic(
-    router: &mut TrafficRouter,
-    mem: &mut RecordingBacking<FlatMemory>,
-    core: usize,
-    line_bytes: u32,
-) {
-    if mem.fills().is_empty() && mem.write_backs().is_empty() {
-        return;
-    }
-    let core = u32::try_from(core).expect("core count below u32::MAX");
-    for (addr, data) in mem.write_backs() {
-        router.line_traffic(core, *addr, data, true);
-    }
-    let mut line = vec![0u8; line_bytes as usize];
-    for &addr in mem.fills() {
-        for (i, byte) in line.iter_mut().enumerate() {
-            *byte = mem.inner().read_u8(addr + i as u64);
+/// What lies behind one core's private L1: every fill and dirty victim
+/// the L1 hands over goes to the router, and the core's own copy of the
+/// data image keeps the bytes.
+struct L1Next<'a> {
+    router: &'a mut TrafficRouter,
+    core: u32,
+    image: &'a mut FlatMemory,
+}
+
+impl<'a> L1Next<'a> {
+    fn new(router: &'a mut TrafficRouter, core: usize, image: &'a mut FlatMemory) -> Self {
+        let core = u32::try_from(core).expect("core count below u32::MAX");
+        L1Next {
+            router,
+            core,
+            image,
         }
-        router.line_traffic(core, addr, &line, false);
     }
-    mem.clear_log();
+}
+
+impl Backing for L1Next<'_> {
+    fn read_block(&mut self, addr: u64, buf: &mut [u8]) {
+        self.image.read_block(addr, buf);
+        self.router.line_traffic(self.core, addr, buf, false);
+    }
+
+    fn write_block(&mut self, addr: u64, data: &[u8]) {
+        self.router.line_traffic(self.core, addr, data, true);
+        self.image.write_block(addr, data);
+    }
 }
 
 /// A trace's data events (reads and writes) in trace order, read in place.

@@ -329,10 +329,28 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlatMemory, RecordingBacking};
+    use crate::FlatMemory;
 
     fn cache(size: u64, line: u32, assoc: u32) -> Cache {
         Cache::new(CacheConfig::new(size, line, assoc).unwrap())
+    }
+
+    /// A memory that logs every line written back to it.
+    #[derive(Default)]
+    struct WriteBackLog {
+        mem: FlatMemory,
+        lines: Vec<(u64, Vec<u8>)>,
+    }
+
+    impl Backing for WriteBackLog {
+        fn read_block(&mut self, addr: u64, buf: &mut [u8]) {
+            self.mem.read_block(addr, buf);
+        }
+
+        fn write_block(&mut self, addr: u64, data: &[u8]) {
+            self.lines.push((addr, data.to_vec()));
+            self.mem.write_block(addr, data);
+        }
     }
 
     #[test]
@@ -376,15 +394,16 @@ mod tests {
     fn dirty_eviction_writes_back_line() {
         // Direct-mapped, 2 sets of 16 B lines -> addresses 0 and 32 collide.
         let mut c = cache(32, 16, 1);
-        let mut m = RecordingBacking::new(FlatMemory::new());
+        let mut m = WriteBackLog::default();
         c.write_word(0, 0x1111_1111, &mut m);
         c.write_word(32, 0x2222_2222, &mut m); // evicts dirty line 0
         assert_eq!(c.stats().writebacks, 1);
-        let (addr, data) = &m.write_backs()[0];
+        assert_eq!(m.lines.len(), 1);
+        let (addr, data) = &m.lines[0];
         assert_eq!(*addr, 0);
         assert_eq!(&data[0..4], &0x1111_1111u32.to_le_bytes());
         // The evicted value is durable in the backing.
-        assert_eq!(m.inner().read_u32(0), 0x1111_1111);
+        assert_eq!(m.mem.read_u32(0), 0x1111_1111);
     }
 
     #[test]
@@ -414,16 +433,24 @@ mod tests {
     #[test]
     fn flush_writes_all_dirty_lines() {
         let mut c = cache(1 << 10, 16, 2);
-        let mut m = RecordingBacking::new(FlatMemory::new());
+        let mut m = WriteBackLog::default();
         c.write_word(0x00, 1, &mut m);
         c.write_word(0x40, 2, &mut m);
         c.write_word(0x80, 3, &mut m);
         c.flush(&mut m);
         assert_eq!(c.stats().writebacks, 3);
+        let mut victims: Vec<(u64, u32)> = m
+            .lines
+            .iter()
+            .map(|(addr, data)| (*addr, u32::from_le_bytes(data[..4].try_into().unwrap())))
+            .collect();
+        victims.sort_unstable();
+        assert_eq!(victims, [(0x00, 1), (0x40, 2), (0x80, 3)]);
         // Flushing twice writes nothing new.
         c.flush(&mut m);
         assert_eq!(c.stats().writebacks, 3);
-        assert_eq!(m.inner().read_u32(0x40), 2);
+        assert_eq!(m.lines.len(), 3);
+        assert_eq!(m.mem.read_u32(0x40), 2);
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub mod prelude {
         SearchConfig, SearchStrategy, Workload,
     };
     pub use lpmem_isa::{assemble, Kernel, KernelRun, Machine, Program};
-    pub use lpmem_mem::{Cache, CacheConfig, FlatMemory, RecordingBacking};
+    pub use lpmem_mem::{Cache, CacheConfig, FlatMemory};
     pub use lpmem_partition::{greedy_partition, optimal_partition, Partition, PartitionCost};
     pub use lpmem_sched::{greedy_schedule, naive_schedule, AppSpec, ContextSpec, SchedPlatform};
     pub use lpmem_trace::{
