@@ -39,6 +39,14 @@ cargo build --release --locked --offline
 echo "==> cargo check --all-features (no feature may fail to build)"
 cargo check --workspace --all-targets --all-features --locked --offline
 
+echo "==> cargo check lpbench --locked (the benchmark builds against the in-tree crates)"
+# lpbench is a workspace of its own, and its committed Cargo.lock lists
+# each in-tree crate's dependencies: a deleted public name that lpbench
+# binds, or a changed dependency edge between workspace crates, breaks
+# only the benchmark and none of the workspace's own builds and tests.
+CARGO_TARGET_DIR=target/lpbench-check \
+    cargo check --manifest-path lpbench/Cargo.toml --locked --offline --all-targets
+
 echo "==> cargo test -q --locked --offline --workspace"
 cargo test -q --locked --offline --workspace
 
