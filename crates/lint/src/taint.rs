@@ -1614,7 +1614,7 @@ mod tests {
                    ks.push(*k);\n\
                    }\n\
                    ks.sort();\n\
-                   format!(\"{ks:?}\")\n\
+                   format!(\"{:?}\", ks)\n\
                    }\n\
                    }\n";
         let out = run(&[("crates/x/src/lib.rs", src)]);
@@ -1623,6 +1623,121 @@ mod tests {
             "diags: {:?}",
             out.diags
         );
+        // The same body without the sort reports: `ks` reaches the sink,
+        // so the clean run above is the sort's doing.
+        let out = run(&[("crates/x/src/lib.rs", &src.replace("ks.sort();", ""))]);
+        assert!(
+            out.diags.iter().any(|d| d.rule == "T01"),
+            "diags: {:?}",
+            out.diags
+        );
+    }
+
+    fn t01_count(out: &Outcome) -> usize {
+        out.diags.iter().filter(|d| d.rule == "T01").count()
+    }
+
+    fn d03(line: u32) -> Diag {
+        Diag {
+            path: "crates/x/src/lib.rs".to_string(),
+            line,
+            rule: "D03",
+            message: String::new(),
+        }
+    }
+
+    fn retracts_d03(src: &str, line: u32) -> bool {
+        let ws = ws_of(&[("crates/x/src/lib.rs", src)]);
+        let out = analyze(&ws, &[d03(line)]);
+        out.retract
+            .contains(&("crates/x/src/lib.rs".to_string(), line, "D03".to_string()))
+    }
+
+    #[test]
+    fn field_written_after_its_reader_reaches_the_sink() {
+        // `R::jsonl` reads `R::ks` before `fill`, later in function
+        // order, taints it: the reader must be summarized again.
+        let src = "use std::collections::HashMap;\n\
+                   pub struct R { pub ks: Vec<u64> }\n\
+                   impl R {\n\
+                   pub fn jsonl(&self) -> String {\n\
+                   format!(\"{:?}\", self.ks)\n\
+                   }\n\
+                   }\n\
+                   pub fn fill(m: &HashMap<u64, u64>) -> R {\n\
+                   let mut ks = Vec::new();\n\
+                   for k in m.keys() {\n\
+                   ks.push(*k);\n\
+                   }\n\
+                   R { ks }\n\
+                   }\n";
+        let out = run(&[("crates/x/src/lib.rs", src)]);
+        assert_eq!(t01_count(&out), 1, "diags: {:?}", out.diags);
+    }
+
+    #[test]
+    fn trait_object_callee_summarized_after_its_caller_reaches_the_sink() {
+        // `run` dispatches through `dyn Emit` before `J::emit`, later in
+        // function order, learns that its argument reaches a sink.
+        let src = "use std::collections::HashMap;\n\
+                   pub trait Emit { fn emit(&self, ks: Vec<u64>); }\n\
+                   pub fn run(e: &dyn Emit, m: &HashMap<u64, u64>) {\n\
+                   let ks: Vec<u64> = m.keys().copied().collect();\n\
+                   e.emit(ks);\n\
+                   }\n\
+                   pub struct J;\n\
+                   impl Emit for J {\n\
+                   fn emit(&self, ks: Vec<u64>) {\n\
+                   write_jsonl(ks);\n\
+                   }\n\
+                   }\n";
+        let out = run(&[("crates/x/src/lib.rs", src)]);
+        assert_eq!(t01_count(&out), 1, "diags: {:?}", out.diags);
+    }
+
+    #[test]
+    fn self_recursion_feeds_its_own_summary() {
+        // Only the second summary of `swap` sees that its recursive call
+        // returns `b`: the recursion itself must be a dependency.
+        let src = "use std::collections::HashMap;\n\
+                   pub fn jsonl(m: &HashMap<u64, u64>) -> Vec<u64> {\n\
+                   let ks: Vec<u64> = m.keys().copied().collect();\n\
+                   swap(Vec::new(), ks, 3)\n\
+                   }\n\
+                   pub fn swap(a: Vec<u64>, b: Vec<u64>, n: u32) -> Vec<u64> {\n\
+                   if n == 0 {\n\
+                   return a;\n\
+                   }\n\
+                   swap(b, a, n - 1)\n\
+                   }\n";
+        let out = run(&[("crates/x/src/lib.rs", src)]);
+        assert_eq!(t01_count(&out), 1, "diags: {:?}", out.diags);
+    }
+
+    #[test]
+    fn name_unanimous_callee_scanned_after_its_caller_keeps_d03() {
+        // `relay` cannot type `w`, so `w.mix(s)` takes `mix`'s flag by
+        // name; `mix`, later in function order, then uses its parameter
+        // raw. `relay` must be scanned again, or `consume`'s seed
+        // arithmetic passes as expander-bound.
+        let src = "pub fn consume(seed: u64) -> u64 {\n\
+                   relay(seed ^ 7)\n\
+                   }\n\
+                   pub fn relay(s: u64) -> u64 {\n\
+                   let w = make_w();\n\
+                   w.mix(s)\n\
+                   }\n\
+                   pub struct W;\n\
+                   impl W {\n\
+                   pub fn mix(&self, s: u64) -> u64 {\n\
+                   s\n\
+                   }\n\
+                   }\n";
+        assert!(!retracts_d03(src, 2));
+        // Control: when `mix` feeds a stream expander the line retracts.
+        let expanding = src.replace("{\ns\n}", "{\nRng::seed_from_u64(s)\n}");
+        assert_ne!(expanding, src);
+        assert!(retracts_d03(&expanding, 2));
     }
 
     #[test]
