@@ -16,8 +16,9 @@
 //! * `--deny`       exit non-zero when any diagnostic survives — the CI
 //!   gate mode used by `scripts/verify.sh`.
 //! * `--bench-json PATH`  write a one-line JSON benchmark record (file,
-//!   line, function, call-graph, and taint counters apart from the wall
-//!   time) to PATH after the run; see `BENCH_lint.json` at the repo root.
+//!   line, function, call-graph, taint and fixpoint-work counters apart
+//!   from the wall time) to PATH after the run; see `BENCH_lint.json` at
+//!   the repo root.
 //! * `--list`       print the rule catalog and exit.
 //!
 //! Output is byte-stable for a given tree: files are walked in sorted
@@ -169,7 +170,8 @@ fn bench_report_body(report: &Report, elapsed_ns: u128) -> String {
             "\"counters\":{{\"files\":{},\"lines\":{},\"functions\":{},",
             "\"resolved_calls\":{},\"unresolved_calls\":{},",
             "\"taint_sites\":{},\"retractions\":{},",
-            "\"diags\":{},\"suppressed\":{}}},",
+            "\"diags\":{},\"suppressed\":{},",
+            "\"summaries\":{},\"expander_scans\":{}}},",
             "\"timings\":{{\"elapsed_ns\":{},\"files_per_sec\":{:.1}}},",
             "\"rows\":[]}}\n"
         ),
@@ -182,6 +184,8 @@ fn bench_report_body(report: &Report, elapsed_ns: u128) -> String {
         s.retracted,
         report.diags.len(),
         report.suppressed.len(),
+        report.summaries,
+        report.expander_scans,
         elapsed_ns,
         files_per_sec
     )

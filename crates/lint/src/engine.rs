@@ -77,6 +77,12 @@ pub struct Report {
     pub files: usize,
     /// Analysis counters.
     pub stats: Stats,
+    /// Function bodies the taint fixpoint interpreted
+    /// ([`taint::Stats::summaries`]).
+    pub summaries: usize,
+    /// Function bodies the expander fixpoint scanned
+    /// ([`taint::Stats::expander_scans`]).
+    pub expander_scans: usize,
 }
 
 /// One parsed suppression comment.
@@ -223,6 +229,8 @@ pub fn lint_files(inputs: &[(String, String)], opts: &Options) -> Report {
     }
     report.files = inputs.len();
     report.stats = stats;
+    report.summaries = out.stats.summaries;
+    report.expander_scans = out.stats.expander_scans;
     report.diags.sort();
     report.suppressed.sort();
     report

@@ -117,6 +117,8 @@ pub struct Workspace {
     free_by_unit: BTreeMap<(String, String), Vec<FnId>>,
     free_by_name: BTreeMap<String, Vec<FnId>>,
     methods: BTreeMap<(String, String), Vec<FnId>>,
+    /// `methods` by name alone, across receiver types.
+    methods_by_name: BTreeMap<String, Vec<FnId>>,
     trait_impls: BTreeMap<(String, String), Vec<FnId>>,
     traits: BTreeSet<String>,
 }
@@ -174,6 +176,7 @@ impl Workspace {
             free_by_unit: BTreeMap::new(),
             free_by_name: BTreeMap::new(),
             methods: BTreeMap::new(),
+            methods_by_name: BTreeMap::new(),
             trait_impls: BTreeMap::new(),
             traits: BTreeSet::new(),
         };
@@ -216,6 +219,12 @@ impl Workspace {
                 }
                 ws.fns.push(rec);
             }
+        }
+        for ((_, name), ids) in &ws.methods {
+            ws.methods_by_name
+                .entry(name.clone())
+                .or_default()
+                .extend(ids);
         }
         // Environments need the symbol tables, so they come last; two
         // passes let `let` chains settle forward references.
@@ -341,12 +350,8 @@ impl Workspace {
     /// Every workspace method with this name, across all receiver types.
     /// The taint layer's unanimity fallback uses this when a receiver's
     /// type cannot be inferred.
-    pub fn methods_named(&self, name: &str) -> Vec<FnId> {
-        self.methods
-            .iter()
-            .filter(|((_, m), _)| m == name)
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect()
+    pub fn methods_named(&self, name: &str) -> &[FnId] {
+        self.methods_by_name.get(name).map_or(&[], Vec::as_slice)
     }
 
     fn unique_by_name(&self, name: &str) -> Option<CallTarget> {

@@ -112,6 +112,11 @@ pub struct Stats {
     pub resolved_calls: usize,
     /// Call edges that stayed unresolved.
     pub unresolved_calls: usize,
+    /// Function bodies the value-flow fixpoint interpreted.
+    pub summaries: usize,
+    /// Function bodies the expander fixpoint scanned, recording pass
+    /// included.
+    pub expander_scans: usize,
 }
 
 /// Everything the engine needs from one semantic pass.
@@ -139,6 +144,24 @@ struct Summary {
     param_escape: BTreeSet<usize>,
 }
 
+/// A call site's resolution as the pre-pass found it, in eight bytes,
+/// since every resolved call in every analyzed body keeps one.
+#[derive(Debug, Clone, Copy)]
+enum Callee {
+    /// One workspace function.
+    Fn(u32),
+    /// Trait-object dispatch: an index into [`Analyzer::dispatch`].
+    Trait(u32),
+    /// `std` or a constructor, modeled by name.
+    Modeled,
+    /// Nothing matched; the pre-pass keeps no entry for these.
+    Unresolved,
+}
+
+/// The functions that read one summary, field or set of expander flags,
+/// sorted.
+type Readers = Vec<u32>;
+
 /// Function-local interpreter state.
 struct Local {
     f: FnId,
@@ -158,25 +181,39 @@ struct Analyzer<'a> {
     clean: Vec<bool>,
     sites: Vec<Site>,
     site_at: BTreeMap<(usize, u32), u32>,
+    /// Every resolved call site's target, found once by the pre-pass and
+    /// sorted by `(file, span lo, span hi)` (a chained call shares its
+    /// receiver's `lo`, never its `hi`). A call without an entry is
+    /// unresolved.
+    calls: Vec<((u32, u32, u32), Callee)>,
+    /// The candidates of each trait-object call.
+    dispatch: Vec<Vec<FnId>>,
     sums: Vec<Summary>,
+    /// Functions that read each summary, through `apply_call`.
+    sum_readers: Vec<Readers>,
     /// Struct-field taint, closed-world: `(type head, field)` → sites.
-    fields: BTreeMap<(String, String), Set>,
-    fields_dirty: bool,
+    fields: BTreeMap<(&'a str, &'a str), Set>,
+    /// Functions that read each struct field.
+    field_readers: BTreeMap<(&'a str, &'a str), Readers>,
+    /// Functions that read something that changed since their last
+    /// visit; a fixpoint round visits only these.
+    dirty: Vec<bool>,
     escaped: Set,
     /// Sites named by a T01/T02 diagnostic (subsumed, so retractable).
     reported: Set,
     findings: BTreeSet<(u32, SinkLoc)>,
-    callers: Vec<BTreeSet<FnId>>,
+    /// Functions some workspace call resolves to.
+    called: Vec<bool>,
     /// Cross-unit resolved edges: `(callee, caller unit)`.
     cross: BTreeSet<(FnId, String)>,
     /// Greatest-fixpoint "parameter flows only into stream expanders".
     expander: Vec<Vec<bool>>,
-    exp_changed: bool,
+    /// Functions that read each function's expander flags.
+    exp_readers: Vec<Readers>,
     exp_recording: bool,
     /// Lines whose seed arithmetic is expander-consumed / raw.
     exp_lines: BTreeSet<(usize, u32)>,
     bare_lines: BTreeSet<(usize, u32)>,
-    changed: bool,
     stats: Stats,
 }
 
@@ -189,24 +226,27 @@ pub fn analyze(ws: &Workspace, heuristics: &[Diag]) -> Outcome {
         clean: ws.files.iter().map(|f| f.ast.recovered == 0).collect(),
         sites: Vec::new(),
         site_at: BTreeMap::new(),
+        calls: Vec::new(),
+        dispatch: Vec::new(),
         sums: vec![Summary::default(); ws.fns.len()],
+        sum_readers: vec![Readers::new(); ws.fns.len()],
         fields: BTreeMap::new(),
-        fields_dirty: false,
+        field_readers: BTreeMap::new(),
+        dirty: Vec::new(),
         escaped: Set::new(),
         reported: Set::new(),
         findings: BTreeSet::new(),
-        callers: vec![BTreeSet::new(); ws.fns.len()],
+        called: vec![false; ws.fns.len()],
         cross: BTreeSet::new(),
         expander: ws.fns.iter().map(|r| vec![true; r.params.len()]).collect(),
-        exp_changed: false,
+        exp_readers: vec![Readers::new(); ws.fns.len()],
         exp_recording: false,
         exp_lines: BTreeSet::new(),
         bare_lines: BTreeSet::new(),
-        changed: false,
         stats: Stats::default(),
     };
     an.collect_sites_and_edges();
-    an.fixpoint();
+    an.rounds(Analyzer::analyze_fn);
     an.api_escape();
     an.expander_fixpoint();
     let mut diags = an.t_diags();
@@ -243,16 +283,40 @@ impl<'a> Analyzer<'a> {
                         self.sites.push(Site { kind, file, line });
                     }
                 }
-                match self.call_target(f, e) {
-                    None => {}
-                    Some(CallTarget::Resolved(id)) => self.edge(f, &[id]),
-                    Some(CallTarget::Trait(ids)) => self.edge(f, &ids),
+                let callee = match self.call_target(f, e) {
+                    None => continue,
+                    Some(CallTarget::Resolved(id)) => {
+                        self.edge(f, &[id]);
+                        Callee::Fn(id as u32)
+                    }
+                    Some(CallTarget::Trait(ids)) => {
+                        self.edge(f, &ids);
+                        self.dispatch.push(ids);
+                        Callee::Trait(self.dispatch.len() as u32 - 1)
+                    }
                     Some(CallTarget::Std) | Some(CallTarget::Constructor) => {
                         self.stats.resolved_calls += 1;
+                        Callee::Modeled
                     }
-                    Some(CallTarget::Unresolved(_)) => self.stats.unresolved_calls += 1,
-                }
+                    Some(CallTarget::Unresolved(_)) => {
+                        self.stats.unresolved_calls += 1;
+                        continue;
+                    }
+                };
+                let file = self.ws.fns[f].file as u32;
+                self.calls.push(((file, e.span.lo, e.span.hi), callee));
             }
+        }
+        self.calls.sort_unstable_by_key(|&(key, _)| key);
+        self.calls.shrink_to_fit();
+    }
+
+    /// The pre-pass resolution of the call expression `e` in `file`.
+    fn call_at(&self, file: usize, e: &Expr) -> Callee {
+        let key = (file as u32, e.span.lo, e.span.hi);
+        match self.calls.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.calls[i].1,
+            Err(_) => Callee::Unresolved,
         }
     }
 
@@ -260,7 +324,7 @@ impl<'a> Analyzer<'a> {
         self.stats.resolved_calls += 1;
         let unit = self.ws.fns[caller].unit.clone();
         for &id in callees {
-            self.callers[id].insert(caller);
+            self.called[id] = true;
             if self.ws.fns[id].unit != unit {
                 self.cross.insert((id, unit.clone()));
             }
@@ -335,15 +399,19 @@ impl<'a> Analyzer<'a> {
 
     // ----- value-flow fixpoint ------------------------------------------
 
-    fn fixpoint(&mut self) {
-        for _ in 0..24 {
-            self.changed = false;
-            self.fields_dirty = false;
-            for f in 0..self.ws.fns.len() {
-                self.analyze_fn(f);
-            }
-            if !self.changed && !self.fields_dirty {
-                break;
+    /// Visits every function once, then, round after round in ascending
+    /// `FnId` order, every function that read a summary, field or flag
+    /// that changed since its last visit, until none did. A skipped
+    /// visit would have changed nothing, so the result is that of
+    /// re-visiting every function each round. Summaries and fields only
+    /// grow and expander flags only fall, so the rounds end.
+    fn rounds(&mut self, visit: fn(&mut Self, FnId)) {
+        self.dirty = vec![true; self.ws.fns.len()];
+        while self.dirty.contains(&true) {
+            for f in 0..self.dirty.len() {
+                if std::mem::take(&mut self.dirty[f]) {
+                    visit(self, f);
+                }
             }
         }
     }
@@ -356,6 +424,7 @@ impl<'a> Analyzer<'a> {
         let Some(body) = self.ws.fn_body(f) else {
             return;
         };
+        self.stats.summaries += 1;
         let mut l = Local {
             f,
             file: rec.file,
@@ -411,28 +480,28 @@ impl<'a> Analyzer<'a> {
 
     fn merge_summary(&mut self, f: FnId, new: Summary) {
         let old = &mut self.sums[f];
+        let mut changed = false;
         for (tok, line) in new.ret {
             if let std::collections::btree_map::Entry::Vacant(v) = old.ret.entry(tok) {
                 v.insert(line);
-                self.changed = true;
+                changed = true;
             }
         }
         for (i, locs) in new.param_sink {
             let e = old.param_sink.entry(i).or_default();
             for loc in locs {
-                if e.insert(loc) {
-                    self.changed = true;
-                }
+                changed |= e.insert(loc);
             }
         }
         for i in new.param_escape {
-            if old.param_escape.insert(i) {
-                self.changed = true;
-            }
+            changed |= old.param_escape.insert(i);
+        }
+        if changed {
+            mark(&mut self.dirty, &self.sum_readers[f]);
         }
     }
 
-    fn eval_block(&mut self, l: &mut Local, b: &Block) -> Set {
+    fn eval_block(&mut self, l: &mut Local, b: &'a Block) -> Set {
         let mut val = Set::new();
         let n = b.stmts.len();
         for (i, st) in b.stmts.iter().enumerate() {
@@ -462,7 +531,7 @@ impl<'a> Analyzer<'a> {
         val
     }
 
-    fn eval(&mut self, l: &mut Local, e: &Expr) -> Set {
+    fn eval(&mut self, l: &mut Local, e: &'a Expr) -> Set {
         match &e.kind {
             ExprKind::Lit(_) | ExprKind::Continue | ExprKind::Unknown => Set::new(),
             ExprKind::Path(segs) => {
@@ -494,20 +563,14 @@ impl<'a> Analyzer<'a> {
             } => self.eval_method(l, e, recv, method, turbofish.as_deref(), args),
             ExprKind::Field(base, name) => {
                 let bs = self.eval(l, base);
-                let bt = self.ws.infer(&self.ws.envs[l.f], &self.ws.fns[l.f], base);
-                if let Some(t) = bt {
-                    let head = t.unwrapped_head().to_string();
-                    if self.ws.structs.contains_key(&head) {
-                        // Field-precise: every construction and write site
-                        // feeds the global field map, so a known struct's
-                        // field read takes exactly that — the base value's
-                        // own taint (the *other* fields) does not leak in.
-                        return self
-                            .fields
-                            .get(&(head, name.clone()))
-                            .cloned()
-                            .unwrap_or_default();
-                    }
+                if let Some(head) = self.struct_head(l.f, base) {
+                    // Field-precise: every construction and write site
+                    // feeds the global field map, so a known struct's
+                    // field read takes exactly that — the base value's
+                    // own taint (the *other* fields) does not leak in.
+                    let key = (head, name.as_str());
+                    add_reader(self.field_readers.entry(key).or_default(), l.f);
+                    return self.fields.get(&key).cloned().unwrap_or_default();
                 }
                 bs
             }
@@ -524,11 +587,11 @@ impl<'a> Analyzer<'a> {
                 s
             }
             ExprKind::StructLit { path, fields, rest } => {
-                let head = path.last().cloned().unwrap_or_default();
+                let head = path.last().map_or("", String::as_str);
                 let mut val = Set::new();
                 for (fname, fe) in fields {
                     let s = self.eval(l, fe);
-                    self.taint_field(&head, fname, &s);
+                    self.taint_field(head, fname, &s);
                     val.extend(s);
                 }
                 if let Some(r) = rest {
@@ -618,7 +681,7 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn eval_cond(&mut self, l: &mut Local, cond: &Expr) {
+    fn eval_cond(&mut self, l: &mut Local, cond: &'a Expr) {
         self.eval(l, cond);
     }
 
@@ -626,7 +689,7 @@ impl<'a> Analyzer<'a> {
     /// taint (the receiver/sibling arguments), its body value is the
     /// result. A standalone closure's body value approximates its
     /// captures.
-    fn eval_closure(&mut self, l: &mut Local, e: &Expr, seed: &Set) -> Set {
+    fn eval_closure(&mut self, l: &mut Local, e: &'a Expr, seed: &Set) -> Set {
         let ExprKind::Closure { params, body } = &e.kind else {
             return self.eval(l, e);
         };
@@ -638,7 +701,7 @@ impl<'a> Analyzer<'a> {
 
     /// Evaluates argument lists with closure seeding: plain arguments
     /// first, then closures with the union of receiver + plain arguments.
-    fn eval_args(&mut self, l: &mut Local, args: &[Expr], recv: &Set) -> (Vec<Set>, Set) {
+    fn eval_args(&mut self, l: &mut Local, args: &'a [Expr], recv: &Set) -> (Vec<Set>, Set) {
         let mut sets: Vec<Option<Set>> = Vec::with_capacity(args.len());
         let mut plain = recv.clone();
         for a in args {
@@ -666,22 +729,22 @@ impl<'a> Analyzer<'a> {
         (out, union)
     }
 
-    fn eval_call(&mut self, l: &mut Local, e: &Expr, callee: &Expr, args: &[Expr]) -> Set {
+    fn eval_call(&mut self, l: &mut Local, e: &'a Expr, callee: &'a Expr, args: &'a [Expr]) -> Set {
         let site = self.site_at.get(&(l.file, e.span.lo)).copied();
         let (argsets, union) = self.eval_args(l, args, &Set::new());
         let mut out = match &callee.kind {
             ExprKind::Path(segs) => {
-                match self.ws.resolve_path_call(self.ws.fns[l.f].file, segs) {
-                    CallTarget::Resolved(id) => self.apply_call(l, id, None, &argsets),
-                    CallTarget::Trait(ids) => {
+                match self.call_at(l.file, e) {
+                    Callee::Fn(id) => self.apply_call(l, id as FnId, None, &argsets),
+                    Callee::Trait(t) => {
                         let mut s = Set::new();
-                        for id in ids {
+                        for id in self.dispatch[t as usize].clone() {
                             s.extend(self.apply_call(l, id, None, &argsets));
                         }
                         s
                     }
-                    CallTarget::Std | CallTarget::Constructor => union,
-                    CallTarget::Unresolved(_) => {
+                    Callee::Modeled => union,
+                    Callee::Unresolved => {
                         let name = segs.last().map(String::as_str).unwrap_or("");
                         if SINK_NAMES.contains(&name) {
                             let loc = (l.file, e.span.line, name.to_string());
@@ -712,15 +775,14 @@ impl<'a> Analyzer<'a> {
     fn eval_method(
         &mut self,
         l: &mut Local,
-        e: &Expr,
-        recv: &Expr,
+        e: &'a Expr,
+        recv: &'a Expr,
         method: &str,
         turbofish: Option<&str>,
-        args: &[Expr],
+        args: &'a [Expr],
     ) -> Set {
         let site = self.site_at.get(&(l.file, e.span.lo)).copied();
         let r = self.eval(l, recv);
-        let rty = self.ws.infer(&self.ws.envs[l.f], &self.ws.fns[l.f], recv);
         let (argsets, mut union) = self.eval_args(l, args, &r);
         let finish = |mut s: Set| {
             if let Some(tok) = site {
@@ -761,13 +823,16 @@ impl<'a> Analyzer<'a> {
             _ => {}
         }
 
-        let target = self
-            .ws
-            .resolve_method(&self.ws.fns[l.f].unit, rty.as_ref(), method);
-        let trace_recv = rty.as_ref().is_some_and(|t| t.unwrapped_head() == "Trace")
-            || matches!(&target, CallTarget::Resolved(id)
-                if self.ws.fns[*id].impl_ty.as_deref() == Some("Trace"));
-        if TRACE_SINK_METHODS.contains(&method) && trace_recv {
+        let target = self.call_at(l.file, e);
+        let trace_recv = || {
+            matches!(target, Callee::Fn(id)
+                if self.ws.fns[id as FnId].impl_ty.as_deref() == Some("Trace"))
+                || self
+                    .ws
+                    .infer(&self.ws.envs[l.f], &self.ws.fns[l.f], recv)
+                    .is_some_and(|t| t.unwrapped_head() == "Trace")
+        };
+        if TRACE_SINK_METHODS.contains(&method) && trace_recv() {
             let mut emitted = Set::new();
             for s in &argsets {
                 emitted.extend(s.iter().copied());
@@ -778,16 +843,16 @@ impl<'a> Analyzer<'a> {
         }
 
         match target {
-            CallTarget::Resolved(id) => finish(self.apply_call(l, id, Some(&r), &argsets)),
-            CallTarget::Trait(ids) => {
+            Callee::Fn(id) => finish(self.apply_call(l, id as FnId, Some(&r), &argsets)),
+            Callee::Trait(t) => {
                 let mut s = Set::new();
-                for id in ids {
+                for id in self.dispatch[t as usize].clone() {
                     s.extend(self.apply_call(l, id, Some(&r), &argsets));
                 }
                 finish(s)
             }
-            CallTarget::Std | CallTarget::Constructor => finish(union),
-            CallTarget::Unresolved(_) => {
+            Callee::Modeled => finish(union),
+            Callee::Unresolved => {
                 if SINK_NAMES.contains(&method) {
                     let loc = (l.file, e.span.line, method.to_string());
                     self.record_sink(l, &union, &loc);
@@ -807,7 +872,7 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn eval_macro(&mut self, l: &mut Local, path: &[String], args: &[Expr]) -> Set {
+    fn eval_macro(&mut self, l: &mut Local, path: &[String], args: &'a [Expr]) -> Set {
         let name = path.last().map(String::as_str).unwrap_or("");
         if name.starts_with("assert")
             || name.starts_with("debug_assert")
@@ -849,6 +914,7 @@ impl<'a> Analyzer<'a> {
 
     /// Applies a callee summary at a call site.
     fn apply_call(&mut self, l: &mut Local, id: FnId, recv: Option<&Set>, argsets: &[Set]) -> Set {
+        add_reader(&mut self.sum_readers[id], l.f);
         let sum = self.sums[id].clone();
         let mut out = Set::new();
         for &tok in sum.ret.keys() {
@@ -902,32 +968,38 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn taint_field(&mut self, head: &str, field: &str, set: &Set) {
+    /// The workspace struct that `base`'s inferred type names, if any.
+    fn struct_head(&self, f: FnId, base: &Expr) -> Option<&'a str> {
+        let ws = self.ws;
+        let t = ws.infer(&ws.envs[f], &ws.fns[f], base)?;
+        let (head, _) = ws.structs.get_key_value(t.unwrapped_head())?;
+        Some(head)
+    }
+
+    fn taint_field(&mut self, head: &'a str, field: &'a str, set: &Set) {
         // The field map is global, so only site tokens (which mean the
         // same thing everywhere) may enter it.
         let sites: Vec<u32> = set.iter().copied().filter(|&t| t < PARAM_BASE).collect();
         if sites.is_empty() {
             return;
         }
-        let e = self
-            .fields
-            .entry((head.to_string(), field.to_string()))
-            .or_default();
+        let key = (head, field);
+        let e = self.fields.entry(key).or_default();
+        let mut changed = false;
         for t in sites {
-            if e.insert(t) {
-                self.fields_dirty = true;
+            changed |= e.insert(t);
+        }
+        if changed {
+            if let Some(readers) = self.field_readers.get(&key) {
+                mark(&mut self.dirty, readers);
             }
         }
     }
 
-    fn assign(&mut self, l: &mut Local, lhs: &Expr, rhs: &Set, compound: bool) {
+    fn assign(&mut self, l: &mut Local, lhs: &'a Expr, rhs: &Set, compound: bool) {
         if let ExprKind::Field(base, name) = &lhs.kind {
-            let bt = self.ws.infer(&self.ws.envs[l.f], &self.ws.fns[l.f], base);
-            if let Some(t) = bt {
-                let head = t.unwrapped_head().to_string();
-                if self.ws.structs.contains_key(&head) {
-                    self.taint_field(&head, name, rhs);
-                }
+            if let Some(head) = self.struct_head(l.f, base) {
+                self.taint_field(head, name, rhs);
             }
         }
         match (&lhs.kind, root_var(lhs)) {
@@ -955,7 +1027,7 @@ impl<'a> Analyzer<'a> {
     fn api_escape(&mut self) {
         for f in 0..self.ws.fns.len() {
             let rec = &self.ws.fns[f];
-            if !rec.vis_pub || !self.callers[f].is_empty() || !self.clean[rec.file] {
+            if !rec.vis_pub || self.called[f] || !self.clean[rec.file] {
                 continue;
             }
             for &tok in self.sums[f].ret.keys() {
@@ -1093,28 +1165,23 @@ impl<'a> Analyzer<'a> {
     // ----- D03 expander analysis ----------------------------------------
 
     fn expander_fixpoint(&mut self) {
-        for _ in 0..12 {
-            self.exp_changed = false;
-            self.expander_pass();
-            if !self.exp_changed {
-                break;
-            }
-        }
+        self.rounds(Self::scan_exp_fn);
         self.exp_recording = true;
-        self.expander_pass();
+        for f in 0..self.ws.fns.len() {
+            self.scan_exp_fn(f);
+        }
         self.exp_recording = false;
     }
 
-    fn expander_pass(&mut self) {
-        for f in 0..self.ws.fns.len() {
-            if !self.clean[self.ws.fns[f].file] {
-                continue;
-            }
-            let Some(body) = self.ws.fn_body(f) else {
-                continue;
-            };
-            self.scan_exp_block(f, body);
+    fn scan_exp_fn(&mut self, f: FnId) {
+        if !self.clean[self.ws.fns[f].file] {
+            return;
         }
+        let Some(body) = self.ws.fn_body(f) else {
+            return;
+        };
+        self.stats.expander_scans += 1;
+        self.scan_exp_block(f, body);
     }
 
     fn scan_exp_block(&mut self, f: FnId, b: &Block) {
@@ -1192,7 +1259,7 @@ impl<'a> Analyzer<'a> {
                     }
                 } else {
                     self.scan_exp(f, recv, false, false);
-                    let flags = self.method_arg_expander_flags(f, recv, method, args.len());
+                    let flags = self.method_arg_expander_flags(f, e, method, args.len());
                     for (i, a) in args.iter().enumerate() {
                         let exp = flags.get(i).copied().unwrap_or(false);
                         self.scan_exp(f, a, exp, false);
@@ -1206,7 +1273,7 @@ impl<'a> Analyzer<'a> {
                         self.scan_exp(f, a, true, false);
                     }
                 } else {
-                    let flags = self.call_arg_expander_flags(f, callee, args.len());
+                    let flags = self.call_arg_expander_flags(f, e, args.len());
                     for (i, a) in args.iter().enumerate() {
                         let exp = flags.get(i).copied().unwrap_or(false);
                         self.scan_exp(f, a, exp, false);
@@ -1287,7 +1354,7 @@ impl<'a> Analyzer<'a> {
         for (i, (names, _)) in rec.params.iter().enumerate() {
             if names.iter().any(|n| n == name) && self.expander[f][i] {
                 self.expander[f][i] = false;
-                self.exp_changed = true;
+                mark(&mut self.dirty, &self.exp_readers[f]);
             }
         }
     }
@@ -1304,21 +1371,19 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Per-argument expander flags for a resolved (or name-unanimous)
-    /// method call.
+    /// Per-argument expander flags for the resolved (or name-unanimous)
+    /// method call `e`.
     fn method_arg_expander_flags(
-        &self,
+        &mut self,
         f: FnId,
-        recv: &Expr,
+        e: &Expr,
         method: &str,
         arity: usize,
     ) -> Vec<bool> {
-        let rec = &self.ws.fns[f];
-        let rty = self.ws.infer(&self.ws.envs[f], rec, recv);
-        match self.ws.resolve_method(&rec.unit, rty.as_ref(), method) {
-            CallTarget::Resolved(id) => self.expander[id].clone(),
-            CallTarget::Trait(ids) => self.unanimous(&ids, arity),
-            _ => {
+        match self.call_at(self.ws.fns[f].file, e) {
+            Callee::Fn(id) => self.unanimous(f, &[id as FnId], arity),
+            Callee::Trait(t) => self.unanimous(f, &self.dispatch[t as usize].clone(), arity),
+            Callee::Modeled | Callee::Unresolved => {
                 // Receiver type unknown: fall back to name unanimity
                 // across every workspace method of that name with the
                 // call's exact arity (Rust arity is fixed, so other
@@ -1326,28 +1391,31 @@ impl<'a> Analyzer<'a> {
                 let cands: Vec<FnId> = self
                     .ws
                     .methods_named(method)
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .filter(|&id| self.ws.fns[id].params.len() == arity)
                     .collect();
-                self.unanimous(&cands, arity)
+                self.unanimous(f, &cands, arity)
             }
         }
     }
 
-    fn call_arg_expander_flags(&self, f: FnId, callee: &Expr, arity: usize) -> Vec<bool> {
-        let ExprKind::Path(segs) = &callee.kind else {
-            return vec![false; arity];
-        };
-        match self.ws.resolve_path_call(self.ws.fns[f].file, segs) {
-            CallTarget::Resolved(id) => self.expander[id].clone(),
-            CallTarget::Trait(ids) => self.unanimous(&ids, arity),
-            _ => vec![false; arity],
+    /// Per-argument expander flags for the free or associated call `e`.
+    fn call_arg_expander_flags(&mut self, f: FnId, e: &Expr, arity: usize) -> Vec<bool> {
+        match self.call_at(self.ws.fns[f].file, e) {
+            Callee::Fn(id) => self.unanimous(f, &[id as FnId], arity),
+            Callee::Trait(t) => self.unanimous(f, &self.dispatch[t as usize].clone(), arity),
+            Callee::Modeled | Callee::Unresolved => vec![false; arity],
         }
     }
 
-    fn unanimous(&self, ids: &[FnId], arity: usize) -> Vec<bool> {
+    /// The flags every one of `ids` agrees on, read on behalf of `f`.
+    fn unanimous(&mut self, f: FnId, ids: &[FnId], arity: usize) -> Vec<bool> {
         if ids.is_empty() {
             return vec![false; arity];
+        }
+        for &id in ids {
+            add_reader(&mut self.exp_readers[id], f);
         }
         (0..arity)
             .map(|i| {
@@ -1416,6 +1484,19 @@ impl<'a> Analyzer<'a> {
 }
 
 // ----- free helpers -----------------------------------------------------
+
+fn add_reader(readers: &mut Readers, f: FnId) {
+    let f = f as u32;
+    if let Err(i) = readers.binary_search(&f) {
+        readers.insert(i, f);
+    }
+}
+
+fn mark(dirty: &mut [bool], readers: &Readers) {
+    for &r in readers {
+        dirty[r as usize] = true;
+    }
+}
 
 fn join_ret(ret: &mut BTreeMap<u32, u32>, set: &Set, line: u32) {
     for &tok in set {
@@ -1738,6 +1819,41 @@ mod tests {
         let expanding = src.replace("{\ns\n}", "{\nRng::seed_from_u64(s)\n}");
         assert_ne!(expanding, src);
         assert!(retracts_d03(&expanding, 2));
+    }
+
+    /// `head` on line 1, then `depth` one-parameter helpers `h0`..,
+    /// each declared before its callee; the last one runs `tail`.
+    fn chain(head: &str, depth: usize, tail: &str) -> String {
+        let mut src = format!("{head}\n");
+        for i in 0..depth {
+            let body = if i + 1 == depth {
+                tail.to_string()
+            } else {
+                format!("h{}(v)", i + 1)
+            };
+            src.push_str(&format!("pub fn h{i}(v: u64) -> u64 {{ {body} }}\n"));
+        }
+        src
+    }
+
+    #[test]
+    fn sink_thirty_helpers_deep_is_reached() {
+        // Each round moves the sink one helper up the chain, so a round
+        // cap below the depth would drop the finding.
+        let head = "pub fn top(m: &std::collections::HashMap<u64, u64>) -> u64 { \
+                    h0(m.keys().copied().sum::<f64>() as u64) }";
+        let out = run(&[("crates/x/src/lib.rs", &chain(head, 30, "write_jsonl(v)"))]);
+        assert_eq!(t01_count(&out), 1, "diags: {:?}", out.diags);
+    }
+
+    #[test]
+    fn raw_seed_use_sixteen_helpers_deep_keeps_d03() {
+        // Each round clears one helper's expander flag, from the raw use
+        // at the bottom up to `h0`; a round cap below the depth would
+        // leave `h0` looking like an expander and retract the D03.
+        let head = "pub fn consume(seed: u64) -> u64 { h0(seed ^ 7) }";
+        assert!(!retracts_d03(&chain(head, 16, "v"), 1));
+        assert!(retracts_d03(&chain(head, 16, "Rng::seed_from_u64(v)"), 1));
     }
 
     #[test]

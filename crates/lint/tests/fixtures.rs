@@ -122,7 +122,8 @@ fn the_bench_record_keeps_counters_apart_from_timings() {
         .strip_prefix(concat!(
             r#"{"schema":"lpmem-bench-v2","bench":"lint","counters":{"files":18,"lines":244,"#,
             r#""functions":34,"resolved_calls":5,"unresolved_calls":48,"taint_sites":11,"#,
-            r#""retractions":3,"diags":21,"suppressed":1},"timings":{"elapsed_ns":"#
+            r#""retractions":3,"diags":21,"suppressed":1,"summaries":33,"expander_scans":66},"#,
+            r#""timings":{"elapsed_ns":"#
         ))
         .unwrap_or_else(|| panic!("{record}"));
     let (elapsed_ns, files_per_sec) = timings
