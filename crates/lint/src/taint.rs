@@ -270,6 +270,7 @@ impl<'a> Analyzer<'a> {
             if !self.clean[rec.file] {
                 continue;
             }
+            let file = rec.file;
             let Some(body) = self.ws.fn_body(f) else {
                 continue;
             };
@@ -278,7 +279,6 @@ impl<'a> Analyzer<'a> {
             for e in exprs {
                 if let Some((kind, line)) = self.source_of(f, e) {
                     let id = self.sites.len() as u32;
-                    let file = self.ws.fns[f].file;
                     if self.site_at.insert((file, e.span.lo), id).is_none() {
                         self.sites.push(Site { kind, file, line });
                     }
@@ -303,8 +303,8 @@ impl<'a> Analyzer<'a> {
                         continue;
                     }
                 };
-                let file = self.ws.fns[f].file as u32;
-                self.calls.push(((file, e.span.lo, e.span.hi), callee));
+                let key = (file as u32, e.span.lo, e.span.hi);
+                self.calls.push((key, callee));
             }
         }
         self.calls.sort_unstable_by_key(|&(key, _)| key);
